@@ -6,9 +6,14 @@ its component's value.  Each rule commits to one tuple of argument values
 that keeps the principal's connective from taking the component's value: the
 principal is removed and every argument is inserted into both components
 other than its committed value, which pins that value in any refuting
-interpretation.  The rules are single-premise but not invertible, so search
-backtracks over the committed tuples; a refutation is a chain ending in an
-atomic anti-axiom that carries an explicit witness interpretation.
+interpretation.  A refutation is a chain of such single-premise steps ending
+in an atomic anti-axiom that carries an explicit witness interpretation.
+
+The rules are not invertible, but search does not backtrack: refutability is
+decided by ``prove`` on the matching sequent, and when that fails its
+countermodel falsifies every node of the chain, so committing each principal
+to its arguments' values under the countermodel always leads to an
+anti-axiom.  ``check_refutation`` replays the chain without that model.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from .semantics import (
     UndeclaredAtomError,
     apply_connective,
     atomic_countermodel,
+    evaluate,
     tt_sequent_true,
 )
-from .sequent import ComponentTriple, Sequent3, select_principal
+from .sequent import ComponentTriple, ProofFailure, Sequent3, failure_countermodel, prove, select_principal
 from .syntax import ARITY, Atom, Formula, TokenParser, children, connective, tokenize
 
 __all__ = [
@@ -42,6 +48,7 @@ __all__ = [
     "parse_antisequent",
     "print_antisequent",
     "refutation_from_doc",
+    "refutation_from_failure",
     "refutation_to_doc",
     "refute",
 ]
@@ -110,41 +117,37 @@ class RefutationFailure:
 
 
 def refute(a: AntiSequent3) -> RefutationTree | RefutationFailure:
-    """Backward search with backtracking over committed value tuples.
+    """Refutation of ``a``, or RefutationFailure when its sequent is valid.
 
-    Tuples are tried in canonical order (f < u < t, pointwise), so the
-    returned refutation and its witness are deterministic.
+    Nothing backtracks: ``prove`` decides, and on failure the anti-sequent
+    derivation follows the countermodel of the failed proof
+    (``refutation_from_failure``).  ``check_refutation`` replays it without
+    that model.  The same input always yields the same chain.
     """
-    memo: dict[AntiSequent3, RefutationTree | RefutationFailure] = {}
+    proof = prove(as_sequent(a))
+    return RefutationFailure(a) if proof else refutation_from_failure(a, proof)
 
-    def go(a: AntiSequent3) -> RefutationTree | RefutationFailure:
-        hit = memo.get(a)
-        if hit is not None:
-            return hit
-        if a.gamma1 & a.gamma2 & a.gamma3:
-            # a shared formula would have to avoid f, u and t at once; no
-            # descendant can ever reach a witness (formulas are only added)
-            memo[a] = failure = RefutationFailure(a)
-            return failure
-        selected = select_principal(a)
-        if selected is None:
-            witness = is_antiaxiom(a)
-            result: RefutationTree | RefutationFailure = (
-                RefutationFailure(a) if witness is None
-                else RefutationTree(a, "anti-axiom", witness=witness))
-        else:
-            principal, position = selected
-            conn = connective(principal)
-            result = RefutationFailure(a)
-            for values in generate_antirules(conn, position):
-                sub = go(apply_antirule(a, principal, position, values))
-                if sub:
-                    result = RefutationTree(a, _rule_name(conn, position, values), premise=sub)
-                    break
-        memo[a] = result
-        return result
 
-    return go(a)
+def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> RefutationTree:
+    """The refutation chain of ``a`` guided by the countermodel of
+    ``failure``, the failed proof of ``as_sequent(a)``.
+
+    Each principal (chosen as in proof search) is committed to the tuple of
+    its arguments' values under the countermodel.  The countermodel falsifies
+    the root, and a tuple it gives keeps falsifying the premise, so every
+    tuple is admissible and the atomic leaf has a witness.
+    """
+    model = failure_countermodel(failure, as_sequent(a))
+    steps = []
+    while (selected := select_principal(a)) is not None:
+        principal, position = selected
+        values = tuple(evaluate(arg, model) for arg in children(principal))
+        steps.append((a, _rule_name(connective(principal), position, values)))
+        a = apply_antirule(a, principal, position, values)
+    tree = RefutationTree(a, "anti-axiom", witness=is_antiaxiom(a))
+    for conclusion, rule in reversed(steps):
+        tree = RefutationTree(conclusion, rule, premise=tree)
+    return tree
 
 
 def countermodel_of(tree: RefutationTree) -> Interpretation:

@@ -344,7 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, UndeclaredAtomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SearchLimitError as exc:
+    except (SearchLimitError, RecursionError) as exc:
+        # RecursionError: a formula nested deeper than the recursive parser,
+        # printer and calculi can follow
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable
 
-from .antisequent import AntiSequent3, RefutationFailure, RefutationTree, check_refutation, refute, refutation_from_doc, refutation_to_doc
+from .antisequent import AntiSequent3, RefutationTree, check_refutation, refutation_from_doc, refutation_from_failure, refutation_to_doc
 from .semantics import tt_entails
 from .sequent import ProofFailure, ProofTree, check_proof, entailment_sequent, proof_from_doc, proof_to_doc, prove
 from .syntax import (
@@ -110,8 +110,10 @@ def _proof(basis: frozenset[Formula], goal: Formula) -> ProofTree | ProofFailure
 
 
 @cache
-def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree | RefutationFailure:
-    return refute(AntiSequent3.of(basis, basis, (goal,)))
+def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree:
+    """Certificate of non-entailment, built from the cached failed proof;
+    only called once ``_proof(basis, goal)`` has failed."""
+    return refutation_from_failure(AntiSequent3.of(basis, basis, (goal,)), _proof(basis, goal))
 
 
 def member(e: ExtensionBasis, f: Formula) -> bool:
@@ -131,7 +133,7 @@ def _blocking_formulas(d: Default) -> tuple[Formula, ...]:
 
 
 def _consistent(context_basis: frozenset[Formula], d: Default) -> bool:
-    return all(bool(_refutation(context_basis, f)) for f in _blocking_formulas(d))
+    return not any(_proof(context_basis, f) for f in _blocking_formulas(d))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +145,7 @@ def gamma(theory: DefaultTheory, context: ExtensionBasis) -> ExtensionBasis:
 
     Starting from the facts, each round fires every default whose
     prerequisite is provable from the basis built so far and whose blocking
-    formulas (~Bi and ~L C) are all refutably non-entailed by the context.
+    formulas (~Bi and ~L C) are all non-entailed by the context.
     Converges in at most len(defaults) rounds; the fired defaults are
     recorded in firing order.
     """
@@ -189,8 +191,8 @@ def _enumerate_candidates(theory: DefaultTheory) -> tuple[list[ExtensionBasis], 
         subset = tuple(theory.defaults[i] for i in indices)
         cand = ExtensionBasis(candidate_basis(theory, subset), subset)
         g = gamma(theory, cand)
+        # a reproduced fired set rebuilds cand.basis itself: no closure re-check
         ok = (set(g.fired) == set(subset)
-              and closure_equivalent(g.basis, cand.basis)
               and not any(closure_equivalent(g.basis, e.basis) for e in kept))
         transcript.append(CandidateRecord(rank, indices, ok))
         if ok:
@@ -341,13 +343,10 @@ def brave_prove(query: BraveSequent, max_states: int = DEFAULT_MAX_STATES) -> Br
             if not proof:
                 return None
             sigma_proofs.append((f, proof))
-        theta_refutations = []
-        for f in sorted(theta, key=sort_key):
-            refutation = _refutation(basis, f)
-            if not refutation:
-                return None
-            theta_refutations.append((f, refutation))
-        return tuple(sigma_proofs), tuple(theta_refutations)
+        if any(_proof(basis, f) for f in theta):
+            return None
+        theta_refutations = tuple((f, _refutation(basis, f)) for f in sorted(theta, key=sort_key))
+        return tuple(sigma_proofs), theta_refutations
 
     def search(remaining, basis, sigma, theta, steps):
         nonlocal states
@@ -438,9 +437,8 @@ def _constraint_evidence(e: ExtensionBasis, c: SignedConstraint) -> ConstraintEv
     proof = _proof(e.basis, c.formula)
     if proof:
         return ConstraintEvidence(c, satisfied=c.positive, proof=proof)
-    refutation = _refutation(e.basis, c.formula)
     return ConstraintEvidence(c, satisfied=not c.positive,
-                              refutation=refutation if refutation else None)
+                              refutation=_refutation(e.basis, c.formula))
 
 
 def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailure:
@@ -557,9 +555,8 @@ def _semantic_candidates(theory: DefaultTheory) -> tuple[tuple[int, tuple[int, .
         indices = tuple(i for i in range(n) if rank >> i & 1)
         subset = tuple(theory.defaults[i] for i in indices)
         cbasis = candidate_basis(theory, subset)
-        fired, gbasis = _semantic_gamma(theory, cbasis)
-        kept = (fired == set(subset)
-                and _sem_equivalent(gbasis, cbasis)
+        # a reproduced fired set rebuilds cbasis itself: no closure re-check
+        kept = (_semantic_fired(theory, cbasis) == set(subset)
                 and not any(_sem_equivalent(kb, cbasis) for kb in kept_bases))
         if kept:
             kept_bases.append(cbasis)
@@ -567,7 +564,7 @@ def _semantic_candidates(theory: DefaultTheory) -> tuple[tuple[int, tuple[int, .
     return tuple(out)
 
 
-def _semantic_gamma(theory: DefaultTheory, context_basis: frozenset[Formula]):
+def _semantic_fired(theory: DefaultTheory, context_basis: frozenset[Formula]) -> set[Default]:
     admissible = [d for d in theory.defaults
                   if not any(_sem_entailed(context_basis, f) for f in _blocking_formulas(d))]
     basis = set(theory.facts)
@@ -581,7 +578,7 @@ def _semantic_gamma(theory: DefaultTheory, context_basis: frozenset[Formula]):
                 basis.add(Poss(d.consequent))
                 fired.append(d)
                 progress = True
-    return set(fired), frozenset(basis)
+    return set(fired)
 
 
 def check_skeptical_proof(proof: SkepticalProof) -> bool:

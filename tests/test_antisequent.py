@@ -108,6 +108,36 @@ def test_refute_agrees_with_oracle_and_witnesses_falsify(pool):
             assert not tt_sequent_true(as_sequent(a), counter)
 
 
+def test_refute_is_linear_in_chain_length(pool, monkeypatch):
+    # no backtracking: each anti-rule applied ends up on the returned chain,
+    # and valid inputs are settled by proof search alone
+    import luk3.antisequent as antisequent
+
+    calls = 0
+    apply = antisequent.apply_antirule
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return apply(*args)
+
+    monkeypatch.setattr(antisequent, "apply_antirule", counting)
+    for f in pool:
+        a = AntiSequent3.of((), (), (f,))
+        calls = 0
+        result = refute(a)
+        if result:
+            length = 0
+            node = result
+            while node is not None:
+                length += 1
+                node = node.premise
+            assert calls == length - 1, f
+            assert not tt_sequent_true(as_sequent(a), countermodel_of(result))
+        else:
+            assert calls == 0, f
+
+
 def test_complementarity_on_sample(pool, corpus):
     for s in corpus[::37]:
         proved = bool(prove(s))

@@ -215,6 +215,19 @@ class TestInputErrors:
         assert code == 2 and out == "" and err
 
 
+class TestResourceLimits:
+    # nesting deeper than the recursion limit is a resource error, not a "no"
+    def test_deep_negation(self, capsys):
+        code, out, err = run(capsys, "eval", "~" * 3000 + "p", "--interp", "p=t")
+        assert code == 2 and out == ""
+        assert err.startswith("error: resource limit: ") and err.count("\n") == 1
+
+    def test_deep_parentheses(self, capsys):
+        code, out, err = run(capsys, "valid", "(" * 2000 + "p" + ")" * 2000)
+        assert code == 2 and out == ""
+        assert err.startswith("error: resource limit: ") and err.count("\n") == 1
+
+
 def test_format_certificate_round_trips():
     tree = prove(parse_sequent("[p & q ; p & q ; M (p & q)]"))
     text = format_certificate(tree)

@@ -160,6 +160,31 @@ def test_gamma_is_antitone_on_closures(family):
                     assert all(oracles.entailed(g_small, f) for f in g_large)
 
 
+class TestRouting:
+    """Decisions go through proof search; refutations are built only for
+    certificates that are emitted."""
+
+    @pytest.fixture
+    def no_refutations(self, monkeypatch):
+        import luk3.defaults
+
+        def forbidden(basis, goal):
+            raise AssertionError("refutation built for a decision")
+
+        monkeypatch.setattr(luk3.defaults, "_refutation", forbidden)
+
+    def test_extensions_and_gamma_build_none(self, family, no_refutations):
+        for t in family:
+            for e in extensions(t):
+                gamma(t, e)
+
+    def test_failed_brave_end_check_builds_none(self, no_refutations):
+        # M b needs the first default fired, and the fact a always violates Theta
+        q = BraveSequent(T_FORK.facts, T_FORK.defaults, frozenset({MB}), frozenset({A}))
+        assert isinstance(brave_prove(q), BraveFailure)
+        assert not oracles.brave_holds(T_FORK, q.sigma, q.theta)
+
+
 class TestMember:
     def test_basis_formula(self):
         e = ExtensionBasis(frozenset({A, MB}))
