@@ -91,8 +91,10 @@ def _emit(args, doc: dict, text: str) -> None:
 
 def _write_certificate(args, certificate) -> None:
     if getattr(args, "proof", None):
+        # formatted before the file is opened, so a failure leaves no file behind
+        text = format_certificate(certificate)
         with open(args.proof, "w", encoding="utf-8") as fh:
-            fh.write(format_certificate(certificate))
+            fh.write(text)
 
 
 def _interp_doc(interp: Interpretation) -> dict:

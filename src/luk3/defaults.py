@@ -5,24 +5,21 @@ if A is derivable and none of ~B1, ..., ~Bn, ~L C are derivable, assert M C
 (the conclusion is held possible, not certain).  The firing operator iterates
 that reading with the consistency checks made against a fixed context basis;
 extensions are its fixed points.  Every fixed point equals the closure of W
-plus the M-consequents of its fired defaults, so extension enumeration sweeps
-the 2^n fired subsets exhaustively.
-
-Brave queries (is there an extension containing all of Sigma and none of
-Theta?) run a disposition search: each default is either fired, with its
-prerequisite proved from the basis built so far and its consistency formulas
-deferred to final refutation checks, or blocked for a reason that must hold
-of the final basis.  Skeptical queries (does every constraint-satisfying
-extension contain a goal?) reuse the enumeration.  Both produce certificates
-made of sequent proofs and anti-sequent refutations that an independent
-checker replays without rerunning any search.
+plus the M-consequents of its fired defaults, so one rank-ordered sweep of
+the 2^n fired subsets answers every query: enumeration keeps the fixed
+points, brave queries (is there an extension containing all of Sigma and
+none of Theta?) stop at the first that qualifies, and skeptical queries
+(does every constraint-satisfying extension contain a goal?) check each.
+Both produce certificates made of sequent proofs and anti-sequent
+refutations that an independent checker replays without rerunning any
+search; a brave certificate chooses each block reason from the final basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .antisequent import AntiSequent3, RefutationTree, check_refutation, refutation_from_doc, refutation_from_failure, refutation_to_doc
 from .semantics import tt_entails
@@ -87,7 +84,7 @@ DEFAULT_MAX_STATES = 10 ** 6
 
 
 class SearchLimitError(RuntimeError):
-    """Brave search exceeded its state budget."""
+    """The candidate sweep of a query exceeds its state budget."""
 
 
 @dataclass(frozen=True)
@@ -182,33 +179,46 @@ class CandidateRecord:
     kept: bool
 
 
-def _enumerate_candidates(theory: DefaultTheory) -> tuple[list[ExtensionBasis], list[CandidateRecord]]:
-    kept: list[ExtensionBasis] = []
-    transcript: list[CandidateRecord] = []
+def _candidates(theory: DefaultTheory, max_states: int = DEFAULT_MAX_STATES,
+                ) -> Iterator[tuple[CandidateRecord, ExtensionBasis | None]]:
+    """The sweep every query runs: each rank's transcript record, with its
+    extension when kept (the operator reproduces the candidate's fired set
+    and no earlier extension has the same closure), else None.
+
+    Entailment is monotone, so a default whose prerequisite the facts plus
+    every M-consequent do not entail, or that the facts alone block, fires
+    in no candidate: subsets containing it are rejected without the operator.
+    """
     n = len(theory.defaults)
+    if 1 << n > max_states:
+        raise SearchLimitError(f"candidate sweep of 2^{n} exceeds {max_states} states")
+    everything = candidate_basis(theory, theory.defaults)
+    facts = frozenset(theory.facts)
+    never_fires = sum(1 << i for i, d in enumerate(theory.defaults)
+                      if not _proof(everything, d.prereq) or not _consistent(facts, d))
+    kept: list[ExtensionBasis] = []
     for rank in range(1 << n):
         indices = tuple(i for i in range(n) if rank >> i & 1)
-        subset = tuple(theory.defaults[i] for i in indices)
-        cand = ExtensionBasis(candidate_basis(theory, subset), subset)
-        g = gamma(theory, cand)
-        # a reproduced fired set rebuilds cand.basis itself: no closure re-check
-        ok = (set(g.fired) == set(subset)
-              and not any(closure_equivalent(g.basis, e.basis) for e in kept))
-        transcript.append(CandidateRecord(rank, indices, ok))
+        ok = False
+        if not rank & never_fires:
+            subset = tuple(theory.defaults[i] for i in indices)
+            g = gamma(theory, ExtensionBasis(candidate_basis(theory, subset), subset))
+            # a reproduced fired set rebuilds the candidate basis itself: no closure re-check
+            ok = (set(g.fired) == set(subset)
+                  and not any(closure_equivalent(g.basis, e.basis) for e in kept))
         if ok:
             kept.append(g)
-    return kept, transcript
+        yield CandidateRecord(rank, indices, ok), g if ok else None
 
 
 def extensions(theory: DefaultTheory) -> tuple[ExtensionBasis, ...]:
     """All extensions, in candidate-rank order, deduplicated up to mutual
     entailment.
 
-    A candidate (facts plus the M-consequents of a fired subset) is kept when
-    the operator reproduces its closure with exactly that fired set.
+    Raises SearchLimitError when the 2^n candidates exceed
+    DEFAULT_MAX_STATES.
     """
-    kept, _ = _enumerate_candidates(theory)
-    return tuple(kept)
+    return tuple(e for _, e in _candidates(theory) if e is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +295,7 @@ def brave_translation(query: SkepticalSequent) -> BraveSequent:
 
 
 # ---------------------------------------------------------------------------
-# Brave search
+# Brave queries
 
 FIRED = "fired"
 BLOCKED_PREREQ = "blocked-prerequisite"
@@ -295,7 +305,7 @@ BLOCKED_CERT = "blocked-consequent-certainty"
 
 @dataclass(frozen=True)
 class Disposition:
-    """How the search settled one default."""
+    """How a brave certificate settles one default."""
 
     default: Default
     kind: str
@@ -322,74 +332,47 @@ class BraveFailure:
 
 
 def brave_prove(query: BraveSequent, max_states: int = DEFAULT_MAX_STATES) -> BraveProof | BraveFailure:
-    """Disposition search for the brave condition.
+    """First extension in the candidate sweep that entails every Sigma
+    formula and no Theta formula, or failure after all 2^n ranks.
 
-    Firing requires the prerequisite to be provable from facts plus the
-    consequents fired so far, so firing order matters and orders are explored
-    exhaustively; states are memoised on (basis, remaining defaults, Sigma,
-    Theta), which fully determines the residual problem.  Blocking moves
-    record the reason as an obligation: the prerequisite (or, for fired
-    defaults, every ~Bi and ~L C) joins the final refutation checks, a
-    justification negation or ~L C joins the final proof checks.
-    Deterministic exploration order makes the returned certificate canonical.
+    The certificate fires the extension's defaults in firing order, each
+    prerequisite proved from the basis replayed so far, then blocks every
+    other default for the first reason that holds of the final basis:
+    prerequisite not entailed, else the first entailed ~Bj, else ~L C.
+    Raises SearchLimitError past ``max_states`` candidates and ValueError on
+    a repeated default.
     """
-    visited: set = set()
-    states = 0
+    for _, e in _candidates(DefaultTheory(query.gamma, query.delta), max_states):
+        if (e is not None and all(_proof(e.basis, f) for f in query.sigma)
+                and not any(_proof(e.basis, f) for f in query.theta)):
+            return _brave_certificate(query, e)
+    return BraveFailure(query, 1 << len(query.delta))
 
-    def end_checks(basis, sigma, theta):
-        sigma_proofs = []
-        for f in sorted(sigma, key=sort_key):
-            proof = _proof(basis, f)
-            if not proof:
-                return None
-            sigma_proofs.append((f, proof))
-        if any(_proof(basis, f) for f in theta):
-            return None
-        theta_refutations = tuple((f, _refutation(basis, f)) for f in sorted(theta, key=sort_key))
-        return tuple(sigma_proofs), theta_refutations
 
-    def search(remaining, basis, sigma, theta, steps):
-        nonlocal states
-        states += 1
-        if states > max_states:
-            raise SearchLimitError(f"brave search exceeded {max_states} states")
-        key = (frozenset(remaining), basis, sigma, theta)
-        if key in visited:
-            return None
-        visited.add(key)
-        if not remaining:
-            checks = end_checks(basis, sigma, theta)
-            if checks is None:
-                return None
-            return BraveProof(query, steps, basis, checks[0], checks[1])
-        for idx in remaining:
-            d = query.delta[idx]
-            rest = tuple(i for i in remaining if i != idx)
-            proof = _proof(basis, d.prereq)
-            if proof:
-                found = search(rest, basis | {Poss(d.consequent)}, sigma,
-                               theta | set(_blocking_formulas(d)),
-                               steps + (Disposition(d, FIRED, groundedness=proof),))
-                if found is not None:
-                    return found
-            found = search(rest, basis, sigma, theta | {d.prereq},
-                           steps + (Disposition(d, BLOCKED_PREREQ),))
-            if found is not None:
-                return found
-            for j, b in enumerate(d.justifications, start=1):
-                found = search(rest, basis, sigma | {Not(b)}, theta,
-                               steps + (Disposition(d, BLOCKED_JUST, justification_index=j),))
-                if found is not None:
-                    return found
-            found = search(rest, basis, sigma | {Not(Cert(d.consequent))}, theta,
-                           steps + (Disposition(d, BLOCKED_CERT),))
-            if found is not None:
-                return found
-        return None
-
-    result = search(tuple(range(len(query.delta))), frozenset(query.gamma),
-                    frozenset(query.sigma), frozenset(query.theta), ())
-    return result if result is not None else BraveFailure(query, states)
+def _brave_certificate(query: BraveSequent, e: ExtensionBasis) -> BraveProof:
+    steps = []
+    sigma, theta = set(query.sigma), set(query.theta)
+    basis = frozenset(query.gamma)
+    for d in e.fired:
+        steps.append(Disposition(d, FIRED, groundedness=_proof(basis, d.prereq)))
+        basis |= {Poss(d.consequent)}
+        theta.update(_blocking_formulas(d))
+    for d in query.delta:
+        if d in e.fired:
+            continue
+        if not _proof(basis, d.prereq):
+            steps.append(Disposition(d, BLOCKED_PREREQ))
+            theta.add(d.prereq)
+            continue
+        # an unfired default with an entailed prerequisite is blocked by the extension
+        blocking = _blocking_formulas(d)
+        k = next(k for k, f in enumerate(blocking) if _proof(basis, f))
+        sigma.add(blocking[k])
+        steps.append(Disposition(d, BLOCKED_CERT) if k == len(d.justifications)
+                     else Disposition(d, BLOCKED_JUST, justification_index=k + 1))
+    return BraveProof(query, tuple(steps), basis,
+                      tuple((f, _proof(basis, f)) for f in sorted(sigma, key=sort_key)),
+                      tuple((f, _refutation(basis, f)) for f in sorted(theta, key=sort_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +432,16 @@ def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailu
     constraint evidence, and one goal proof per satisfying extension.  Fails
     with the first counterexample extension otherwise (in particular, an
     empty Theta fails as soon as any extension satisfies the constraints).
+    Raises SearchLimitError when the 2^n candidates exceed
+    DEFAULT_MAX_STATES.
     """
-    theory = DefaultTheory(query.gamma, query.delta)
-    kept, transcript = _enumerate_candidates(theory)
     index_of = {d: i for i, d in enumerate(query.delta)}
+    transcript = []
     verdicts = []
-    for e in kept:
+    for record, e in _candidates(DefaultTheory(query.gamma, query.delta)):
+        transcript.append(record)
+        if e is None:
+            continue
         evidence = tuple(_constraint_evidence(e, c)
                          for c in sorted(query.sigma, key=_constraint_key))
         satisfied = all(ev.satisfied for ev in evidence)

@@ -267,8 +267,9 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
 
     The root must match ``conclusion`` when given, leaves must be axioms, and
     each inner node's children must be exactly the premises obtained by
-    applying the node's named rule to some principal in the named component.
-    Shared subtrees (proof search memoises) are verified once.
+    applying the node's named rule to its principal: the one formula the
+    named component loses in the first premise (every rule has a premise,
+    and inserts only proper subformulas).  Shared subtrees are verified once.
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
@@ -282,14 +283,16 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
         else:
             good = False
             conn, sep, pos_text = node.rule.partition(":")
-            if sep and conn in ARITY and pos_text in {"1", "2", "3"}:
+            if sep and conn in ARITY and pos_text in {"1", "2", "3"} and node.premises:
                 position = int(pos_text)
-                got = tuple(p.conclusion for p in node.premises)
-                for f in sorted(node.conclusion.component(position), key=sort_key):
-                    if (connective(f) == conn
-                            and instantiate(node.conclusion, f, position).premises == got):
-                        good = all(ok(p) for p in node.premises)
-                        break
+                lost = (node.conclusion.component(position)
+                        - node.premises[0].conclusion.component(position))
+                if len(lost) == 1:
+                    (f,) = lost
+                    good = (connective(f) == conn
+                            and instantiate(node.conclusion, f, position).premises
+                            == tuple(p.conclusion for p in node.premises)
+                            and all(ok(p) for p in node.premises))
         if good:
             valid.add(id(node))
         return good

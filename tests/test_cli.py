@@ -227,6 +227,22 @@ class TestResourceLimits:
         assert code == 2 and out == ""
         assert err.startswith("error: resource limit: ") and err.count("\n") == 1
 
+    def test_failed_certificate_leaves_no_file(self, capsys, tmp_path):
+        # proved, but the certificate is too deep to check and serialize
+        path = tmp_path / "pf.json"
+        code, out, err = run(capsys, "prove", "[p ; p ; " + "~" * 450 + "p]", "--proof", str(path))
+        assert code == 2 and out == ""
+        assert "resource limit" in err
+        assert not path.exists()
+
+    def test_extensions_over_sweep_budget(self, capsys, tmp_path):
+        path = tmp_path / "wide.dl3"
+        path.write_text("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(20)),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "extensions", str(path))
+        assert code == 2 and out == ""
+        assert "resource limit" in err
+
 
 def test_format_certificate_round_trips():
     tree = prove(parse_sequent("[p & q ; p & q ; M (p & q)]"))

@@ -10,6 +10,7 @@ from mutation import brave_mutants, skeptical_mutants
 from conftest import query_pool
 from luk3.defaults import (
     BLOCKED_PREREQ,
+    FIRED,
     BraveFailure,
     BraveProof,
     BraveSequent,
@@ -39,7 +40,7 @@ from luk3.defaults import (
 )
 from luk3.syntax import Atom, Cert, Default, DefaultTheory, Not, Poss, parse_formula, parse_theory
 
-A, B, C = Atom("a"), Atom("b"), Atom("c")
+A, B, C, Z = Atom("a"), Atom("b"), Atom("c"), Atom("z")
 MB = Poss(B)
 
 
@@ -235,6 +236,11 @@ class TestBrave:
         with pytest.raises(SearchLimitError):
             brave_prove(q, max_states=2)
 
+    def test_repeated_default_rejected(self):
+        q = BraveSequent(T_SIMPLE.facts, T_SIMPLE.defaults * 2, frozenset({MB}), frozenset())
+        with pytest.raises(ValueError):
+            brave_prove(q)
+
     def test_deterministic(self):
         q = BraveSequent(T_FORK.facts, T_FORK.defaults, frozenset({MB}), frozenset())
         assert brave_prove(q) == brave_prove(q)
@@ -287,6 +293,73 @@ class TestSkeptical:
         result = skeptical_decide(q)
         assert not result
         assert is_extension(T_FORK, result.counterexample)
+
+
+def chain(n_defaults: int) -> DefaultTheory:
+    """Fact a0, the chain a_i : a_{i+1} / a_{i+1} and the fork a0 : z / z,
+    a0 : ~z / ~z; ``n_defaults`` counts the fork's two defaults."""
+    a = [Atom(f"a{i}") for i in range(n_defaults - 1)]
+    defaults = [Default(a[i], (a[i + 1],), a[i + 1]) for i in range(n_defaults - 2)]
+    defaults += [Default(a[0], (Z,), Z), Default(a[0], (Not(Z),), Not(Z))]
+    return DefaultTheory(frozenset({a[0]}), tuple(defaults))
+
+
+class TestChain:
+    """Only the chain's first default and the fork ever fire, so the sweep
+    stays cheap however long the chain grows."""
+
+    def test_underivable_brave_within_default_budget(self):
+        t = chain(12)
+        result = brave_prove(BraveSequent(t.facts, t.defaults, frozenset({Z}), frozenset()))
+        assert isinstance(result, BraveFailure)
+        assert result.states == 1 << 12
+
+    def test_derivable_brave_certificate(self):
+        t = chain(12)
+        q = BraveSequent(t.facts, t.defaults, frozenset({Poss(Z), Poss(Atom("a1"))}),
+                         frozenset({Poss(Not(Z))}))
+        proof = brave_prove(q)
+        assert isinstance(proof, BraveProof)
+        # the two fired defaults first, then the ten blocked ones
+        assert [s.kind == FIRED for s in proof.steps] == [True] * 2 + [False] * 10
+        assert check_brave_proof(proof)
+        assert not any(check_brave_proof(m) for m in brave_mutants(proof))
+
+    def test_two_extensions(self):
+        assert len(extensions(chain(12))) == 2
+
+    def test_brave_agrees_with_oracle(self):
+        a1, a2 = Atom("a1"), Atom("a2")
+        pool = [Z, Not(Z), Poss(Z), Poss(Not(Z)), a1, Poss(a1), Poss(a2), Atom("a0")]
+        rng = random.Random(17)
+        for n in range(3, 8):
+            t = chain(n)
+            for _ in range(8):
+                sigma = frozenset(rng.sample(pool, rng.randint(0, 2)))
+                theta = frozenset(rng.sample(pool, rng.randint(0, 2)))
+                result = brave_prove(BraveSequent(t.facts, t.defaults, sigma, theta))
+                assert bool(result) == oracles.brave_holds(t, sigma, theta)
+                if result:
+                    assert check_brave_proof(result)
+
+
+def test_never_fireable_defaults_are_rejected_unswept():
+    # c is never entailed, and the facts alone entail ~~a, blocking a : ~a / d
+    t = theory("fact: a.\ndefault: a : b / b.\ndefault: c : b / c.\ndefault: a : ~a / d.")
+    (e,) = extensions(t)
+    assert e.fired == t.defaults[:1]
+    q = SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({MB}))
+    proof = skeptical_decide(q)
+    assert [r.kept for r in proof.transcript] == [False, True] + [False] * 6
+    assert check_skeptical_proof(proof)
+
+
+def test_sweep_budget_covers_every_query():
+    t = theory("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(20)))
+    with pytest.raises(SearchLimitError):
+        extensions(t)
+    with pytest.raises(SearchLimitError):
+        skeptical_decide(SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({A})))
 
 
 def _sweep_queries(family, count, seed):
