@@ -18,6 +18,7 @@ anti-axiom.  ``check_refutation`` replays the chain without that model.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -32,7 +33,18 @@ from .semantics import (
     evaluate,
     tt_sequent_true,
 )
-from .sequent import ComponentTriple, ProofFailure, Sequent3, failure_countermodel, prove, select_principal
+from .sequent import (
+    ComponentTriple,
+    ProofFailure,
+    Sequent3,
+    _node_fields,
+    _SharingParser,
+    failure_countermodel,
+    parse_component_fields,
+    print_sequent,
+    prove,
+    select_principal,
+)
 from .syntax import ARITY, Atom, Formula, TokenParser, children, connective, tokenize
 
 __all__ = [
@@ -226,16 +238,15 @@ def _rule_matches(parent: RefutationTree, child: RefutationTree) -> bool:
 
 
 def print_antisequent(a: AntiSequent3) -> str:
-    from .sequent import print_sequent
-
     return "!" + print_sequent(Sequent3(*a.components))
 
 
 def parse_antisequent(text: str) -> AntiSequent3:
     """Parse ``![ f1 ; f2 ; f3 ]``."""
-    from .sequent import parse_component_fields
+    return _parse_antisequent(TokenParser(tokenize(text)))
 
-    p = TokenParser(tokenize(text))
+
+def _parse_antisequent(p: TokenParser) -> AntiSequent3:
     p.expect("!")
     p.expect("[")
     comps = parse_component_fields(p)
@@ -255,17 +266,26 @@ def refutation_to_doc(tree: RefutationTree) -> dict:
 
 
 def refutation_from_doc(doc) -> RefutationTree:
-    if not isinstance(doc, dict) or not {"rule", "sequent", "premises"} <= set(doc):
-        raise ValueError("malformed refutation document")
-    premises = doc["premises"]
-    if len(premises) > 1:
-        raise ValueError("malformed refutation document: multiple premises")
-    witness = None
-    if "witness" in doc:
-        witness = Interpretation.from_mapping(doc["witness"])
-    return RefutationTree(
-        parse_antisequent(doc["sequent"]),
-        str(doc["rule"]),
-        premise=refutation_from_doc(premises[0]) if premises else None,
-        witness=witness,
-    )
+    """Read a refutation document back; within one document each distinct
+    formula is parsed once.  Raises ParseError for a bad anti-sequent text,
+    exactly as ``parse_antisequent`` does on it, and ValueError for a
+    malformed node."""
+    formulas: dict[tuple[str, ...], Formula] = {}
+
+    def read(doc) -> RefutationTree:
+        rule, text, premises = _node_fields(doc, "refutation")
+        if len(premises) > 1:
+            raise ValueError("malformed refutation document: multiple premises")
+        witness = None
+        if "witness" in doc:
+            if not isinstance(doc["witness"], Mapping):
+                raise ValueError("malformed refutation document")
+            witness = Interpretation.from_mapping(doc["witness"])
+        return RefutationTree(
+            _parse_antisequent(_SharingParser(text, formulas)),
+            rule,
+            premise=read(premises[0]) if premises else None,
+            witness=witness,
+        )
+
+    return read(doc)

@@ -269,7 +269,8 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
     each inner node's children must be exactly the premises obtained by
     applying the node's named rule to its principal: the one formula the
     named component loses in the first premise (every rule has a premise,
-    and inserts only proper subformulas).  Shared subtrees are verified once.
+    and inserts only proper subformulas).  Shared subtrees are verified once,
+    both in trees from ``prove`` and in trees read back by ``proof_from_doc``.
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
@@ -326,11 +327,64 @@ def parse_component_fields(p: TokenParser) -> list[tuple[Formula, ...]]:
 
 def parse_sequent(text: str) -> Sequent3:
     """Parse ``[ f1, f2 ; ; g ]``."""
-    p = TokenParser(tokenize(text))
+    return _parse_sequent(TokenParser(tokenize(text)))
+
+
+def _parse_sequent(p: TokenParser) -> Sequent3:
     p.expect("[")
     comps = parse_component_fields(p)
     p.expect_end()
     return Sequent3.of(*comps)
+
+
+#: Token kinds that end one entry of a formula list in a sequent.
+_ENTRY_END = frozenset({",", ";", "]", "end"})
+
+
+class _SharingParser(TokenParser):
+    """TokenParser over one sequent or anti-sequent text of a document that
+    parses each distinct formula-list entry once per document.
+
+    An entry is the token slice up to the next ``,`` ``;`` or ``]``; no
+    formula contains those tokens, and a slice that the parser consumed
+    exactly yields the same formula wherever its token texts recur.  Other
+    slices are parsed in full every time, so the accepted input, the
+    formulas and every ParseError are those of TokenParser.
+    """
+
+    def __init__(self, text: str, formulas: dict[tuple[str, ...], Formula]):
+        super().__init__(tokenize(text))
+        self._formulas = formulas
+
+    def formula_list(self) -> tuple[Formula, ...]:
+        out = [self._entry()]
+        while self.accept(","):
+            out.append(self._entry())
+        return tuple(out)
+
+    def _entry(self) -> Formula:
+        end = self._pos
+        while self._tokens[end].kind not in _ENTRY_END:
+            end += 1
+        key = tuple(tok.text for tok in self._tokens[self._pos:end])
+        f = self._formulas.get(key)
+        if f is None:
+            f = self.formula()
+            if self._pos == end:
+                self._formulas[key] = f
+        else:
+            self._pos = end
+        return f
+
+
+def _node_fields(doc, kind: str) -> tuple[str, str, list]:
+    """Rule, sequent text and premise list of one proof or refutation
+    document node; ValueError when one is missing or of the wrong type."""
+    if (not isinstance(doc, dict) or not isinstance(doc.get("rule"), str)
+            or not isinstance(doc.get("sequent"), str)
+            or not isinstance(doc.get("premises"), list)):
+        raise ValueError(f"malformed {kind} document")
+    return doc["rule"], doc["sequent"], doc["premises"]
 
 
 def proof_to_doc(tree: ProofTree) -> dict:
@@ -342,10 +396,30 @@ def proof_to_doc(tree: ProofTree) -> dict:
 
 
 def proof_from_doc(doc) -> ProofTree:
-    if not isinstance(doc, dict) or not {"rule", "sequent", "premises"} <= set(doc):
-        raise ValueError("malformed proof document")
-    return ProofTree(
-        parse_sequent(doc["sequent"]),
-        str(doc["rule"]),
-        tuple(proof_from_doc(p) for p in doc["premises"]),
-    )
+    """Read a proof document back as a DAG.
+
+    ``proof_to_doc`` writes every shared subtree out once per occurrence;
+    reading rebuilds the sharing.  Within one document each distinct
+    sequent text and each distinct formula is parsed once, and nodes with
+    the same rule, sequent text and (already shared) premises are one
+    ProofTree object, so ``check_proof`` verifies each distinct subtree once.
+    Raises ParseError for a bad sequent text, exactly as ``parse_sequent``
+    does on it, and ValueError for a malformed node.
+    """
+    formulas: dict[tuple[str, ...], Formula] = {}
+    sequents: dict[str, Sequent3] = {}
+    nodes: dict[tuple[str, str, tuple[int, ...]], ProofTree] = {}
+
+    def read(doc) -> ProofTree:
+        rule, text, premises = _node_fields(doc, "proof")
+        s = sequents.get(text)
+        if s is None:
+            s = sequents[text] = _parse_sequent(_SharingParser(text, formulas))
+        subproofs = tuple(read(p) for p in premises)
+        key = (rule, text, tuple(map(id, subproofs)))
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = ProofTree(s, rule, subproofs)
+        return node
+
+    return read(doc)

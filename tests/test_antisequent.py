@@ -218,6 +218,25 @@ class TestTextAndDocs:
             refutation_from_doc({"rule": "x", "sequent": "![ ; ; p]",
                                  "premises": [1, 2]})
 
+    @pytest.mark.parametrize("doc", [
+        {"rule": "anti-axiom", "sequent": 7, "premises": [], "witness": {"p": "f"}},
+        {"rule": "anti-axiom", "sequent": ["![ ; ; p]"], "premises": [],
+         "witness": {"p": "f"}},
+        {"rule": None, "sequent": "![ ; ; p]", "premises": [], "witness": {"p": "f"}},
+        {"rule": "anti-axiom", "sequent": "![ ; ; p]", "premises": None,
+         "witness": {"p": "f"}},
+        {"rule": "anti-axiom", "sequent": "![ ; ; p]", "premises": [], "witness": None},
+        {"rule": "anti-axiom", "sequent": "![ ; ; p]", "premises": [],
+         "witness": [["p", "f"]]},
+        {"rule": "~:3@t", "sequent": "![ ; ; ~p]",
+         "premises": [{"rule": "anti-axiom", "sequent": "![ ; ; p]", "premises": [],
+                       "witness": "p=f"}]},
+    ], ids=["int-sequent", "list-sequent", "null-rule", "null-premises", "null-witness",
+            "list-witness", "nested-text-witness"])
+    def test_mistyped_fields_rejected(self, doc):
+        with pytest.raises(ValueError, match="malformed refutation document"):
+            refutation_from_doc(doc)
+
 
 def test_rule_application_shrinks_occurrence_multiset():
     # each step removes the principal and inserts proper subformulas, so the

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import luk3.sequent
 from mutation import proof_mutants
 from luk3.semantics import VALUES, enumerate_interpretations, tt_sequent_true, tt_sequent_valid
 from luk3.sequent import (
@@ -24,7 +25,7 @@ from luk3.sequent import (
     prove,
     prove_entailment,
 )
-from luk3.syntax import ARITY, Atom, Impl, Not, Or, Poss, parse_formula
+from luk3.syntax import ARITY, Atom, Impl, Not, Or, ParseError, Poss, parse_formula
 
 F, U, T = VALUES
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -218,3 +219,111 @@ class TestTextAndDocs:
     def test_malformed_doc_rejected(self):
         with pytest.raises(ValueError):
             proof_from_doc({"rule": "axiom"})
+
+    @pytest.mark.parametrize("doc", [
+        {"rule": "axiom", "sequent": 7, "premises": []},
+        {"rule": "axiom", "sequent": ["[p ; p ; p]"], "premises": []},
+        {"rule": 7, "sequent": "[p ; p ; p]", "premises": []},
+        {"rule": "axiom", "sequent": "[p ; p ; p]", "premises": None},
+        {"rule": "~:3", "sequent": "[p ; p ; ~p]",
+         "premises": [{"rule": "axiom", "sequent": ["[p ; p ; p]"], "premises": []}]},
+    ], ids=["int-sequent", "list-sequent", "int-rule", "null-premises",
+            "nested-list-sequent"])
+    def test_mistyped_fields_rejected(self, doc):
+        with pytest.raises(ValueError, match="malformed proof document"):
+            proof_from_doc(doc)
+
+
+def _distinct_nodes(tree: ProofTree) -> list[ProofTree]:
+    seen: dict[int, ProofTree] = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.premises)
+    return list(seen.values())
+
+
+def _doc_nodes(doc: dict, path: tuple[int, ...] = ()):
+    """(path, node) for every node of a proof document, in document order."""
+    yield path, doc
+    for i, p in enumerate(doc["premises"]):
+        yield from _doc_nodes(p, path + (i,))
+
+
+def _follow(tree: ProofTree, path: tuple[int, ...]) -> ProofTree:
+    for i in path:
+        tree = tree.premises[i]
+    return tree
+
+
+def _replaced(doc: dict, path: tuple[int, ...], text: str) -> dict:
+    """Copy of ``doc`` with the sequent text of the node at ``path`` replaced."""
+    if not path:
+        return {**doc, "sequent": text}
+    premises = list(doc["premises"])
+    premises[path[0]] = _replaced(premises[path[0]], path[1:], text)
+    return {**doc, "premises": premises}
+
+
+class TestDocSharing:
+    def test_read_back_shares_like_the_prover(self, pool, monkeypatch):
+        proofs = [t for t in (prove(Sequent3.of((), (), (f,))) for f in pool) if t]
+        assert len(proofs) > 200
+        calls = 0
+        real = luk3.sequent.instantiate
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(luk3.sequent, "instantiate", counting)
+        for tree in proofs:
+            again = proof_from_doc(json.loads(json.dumps(proof_to_doc(tree))))
+            assert again == tree
+            nodes = _distinct_nodes(again)
+            assert len(nodes) == len(_distinct_nodes(tree))
+            calls = 0
+            assert check_proof(again, tree.conclusion)
+            assert calls == sum(node.rule != "axiom" for node in nodes)
+
+    @pytest.mark.parametrize("below", [(), (0,)], ids=["node", "its-premise"])
+    def test_mutated_copy_is_not_merged(self, below):
+        root = parse_sequent("[ ; ; p -> p | p]")
+        doc = proof_to_doc(prove(root))
+        paths = [path for path, node in _doc_nodes(doc)
+                 if node["rule"] == "|:3" and node["sequent"] == "[p ; p ; p | p]"]
+        assert len(paths) == 4  # one subtree written out four times
+        genuine = proof_from_doc(doc)
+        assert len({id(_follow(genuine, path)) for path in paths}) == 1
+
+        # bump the text of one copy, or of the axiom below it, only
+        target = paths[1] + below
+        bumped = _follow(genuine, target).conclusion
+        bumped = print_sequent(bumped.with_component(1, bumped.gamma1 | {Atom("zz_mut")}))
+        read = proof_from_doc(_replaced(doc, target, bumped))
+        assert _follow(read, target).conclusion == parse_sequent(bumped)
+        mutated = _follow(read, paths[1])
+        others = {id(_follow(read, path)) for path in paths if path != paths[1]}
+        assert len(others) == 1 and id(mutated) not in others
+        assert not check_proof(read, root)
+
+    @pytest.mark.parametrize("bad", [
+        "[p ; p ; p | p, ~]",    # the entry p | p was read before the error
+        "[p ; p ; p | p p]",     # a new entry that starts like one read before
+        "[p ; p ; (p | p]",      # an entry not read before
+        "[p ; p ;\n p | p ; q]",  # after a line break, past an entry read before
+    ])
+    def test_parse_errors_unchanged_deep_in_a_document(self, bad):
+        doc = proof_to_doc(prove(parse_sequent("[ ; ; p & p -> p | p]")))
+        path = (0, 0, 1)
+        assert _follow(proof_from_doc(doc), path).conclusion == parse_sequent("[p ; p ; p | p]")
+        assert "; p | p]" in doc["premises"][0]["sequent"]  # read earlier
+        with pytest.raises(ParseError) as expected:
+            parse_sequent(bad)
+        with pytest.raises(ParseError) as got:
+            proof_from_doc(_replaced(doc, path, bad))
+        assert ((got.value.message, got.value.line, got.value.column)
+                == (expected.value.message, expected.value.line, expected.value.column))
