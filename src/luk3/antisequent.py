@@ -37,6 +37,7 @@ from .sequent import (
     ComponentTriple,
     ProofFailure,
     Sequent3,
+    _extend_witness,
     _node_fields,
     _SharingParser,
     failure_countermodel,
@@ -170,9 +171,7 @@ def countermodel_of(tree: RefutationTree) -> Interpretation:
         node = node.premise
     if node.witness is None:
         raise ValueError("malformed refutation: leaf carries no witness")
-    table = node.witness.as_dict()
-    return Interpretation(tuple(
-        (name, table.get(name, TruthValue.F)) for name in tree.conclusion.atoms()))
+    return _extend_witness(node.witness, tree.conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +181,9 @@ def countermodel_of(tree: RefutationTree) -> Interpretation:
 def check_refutation(tree: RefutationTree, conclusion: AntiSequent3 | None = None) -> bool:
     """Audit a refutation chain without redoing search.
 
-    Each step must instantiate its named rule, the leaf must be an atomic
-    anti-axiom, and the leaf witness must falsify the sequent reading of
-    every node on the chain.
+    Each step must apply its named rule to the one formula the named
+    component loses, the leaf must be an atomic anti-axiom, and the leaf
+    witness must falsify the sequent reading of every node on the chain.
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
@@ -201,12 +200,9 @@ def check_refutation(tree: RefutationTree, conclusion: AntiSequent3 | None = Non
     for parent, child in zip(chain, chain[1:]):
         if not _rule_matches(parent, child):
             return False
-    table = leaf.witness.as_dict()
     for node in chain:
-        interp = Interpretation(tuple(
-            (name, table.get(name, TruthValue.F)) for name in node.conclusion.atoms()))
         try:
-            if tt_sequent_true(node.conclusion, interp):
+            if tt_sequent_true(node.conclusion, _extend_witness(leaf.witness, node.conclusion)):
                 return False
         except UndeclaredAtomError:
             return False
@@ -227,10 +223,13 @@ def _rule_matches(parent: RefutationTree, child: RefutationTree) -> bool:
         return False
     if apply_connective(conn, values) is VALUES[position - 1]:
         return False  # the committed tuple must avoid the component's value
-    for f in parent.conclusion.component(position):
-        if connective(f) == conn and apply_antirule(parent.conclusion, f, position, values) == child.conclusion:
-            return True
-    return False
+    # an anti-rule removes only its principal and inserts proper subformulas
+    lost = parent.conclusion.component(position) - child.conclusion.component(position)
+    if len(lost) != 1:
+        return False
+    (f,) = lost
+    return (connective(f) == conn
+            and apply_antirule(parent.conclusion, f, position, values) == child.conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,8 @@ def refutation_from_doc(doc) -> RefutationTree:
             raise ValueError("malformed refutation document: multiple premises")
         witness = None
         if "witness" in doc:
-            if not isinstance(doc["witness"], Mapping):
+            if (not isinstance(doc["witness"], Mapping)
+                    or not all(isinstance(v, str) for v in doc["witness"].values())):
                 raise ValueError("malformed refutation document")
             witness = Interpretation.from_mapping(doc["witness"])
         return RefutationTree(

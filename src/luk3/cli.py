@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .antisequent import (
@@ -23,7 +22,6 @@ from .antisequent import (
     refute,
 )
 from .defaults import (
-    DEFAULT_MAX_STATES,
     BraveProof,
     BraveSequent,
     SearchLimitError,
@@ -104,19 +102,6 @@ def _interp_doc(interp: Interpretation) -> dict:
 def _read_theory(path: str):
     with open(path, encoding="utf-8") as fh:
         return parse_theory(fh.read())
-
-
-def _max_states() -> int:
-    raw = os.environ.get("LUK3_MAX_STATES")
-    if raw is None:
-        return DEFAULT_MAX_STATES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"LUK3_MAX_STATES must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError("LUK3_MAX_STATES must be positive")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +211,7 @@ def _cmd_brave(args) -> int:
     query = BraveSequent(theory.facts, theory.defaults,
                          frozenset(parse_formula_list(args.sigma)),
                          frozenset(parse_formula_list(args.theta)))
-    result = brave_prove(query, max_states=_max_states())
+    result = brave_prove(query)
     if result:
         _write_certificate(args, result)
         _emit(args, {"derivable": True, "certificate": brave_proof_to_doc(result)},

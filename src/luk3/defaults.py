@@ -6,10 +6,11 @@ if A is derivable and none of ~B1, ..., ~Bn, ~L C are derivable, assert M C
 that reading with the consistency checks made against a fixed context basis;
 extensions are its fixed points.  Every fixed point equals the closure of W
 plus the M-consequents of its fired defaults, so one rank-ordered sweep of
-the 2^n fired subsets answers every query: enumeration keeps the fixed
-points, brave queries (is there an extension containing all of Sigma and
-none of Theta?) stop at the first that qualifies, and skeptical queries
-(does every constraint-satisfying extension contain a goal?) check each.
+the 2^n fired subsets answers every query: enumeration keeps one extension
+per subset the operator reproduces, brave queries (is there an extension
+containing all of Sigma and none of Theta?) stop at the first that
+qualifies, and skeptical queries (does every constraint-satisfying extension
+contain a goal?) check each.
 Both produce certificates made of sequent proofs and anti-sequent
 refutations that an independent checker replays without rerunning any
 search; a brave certificate chooses each block reason from the final basis.
@@ -179,41 +180,35 @@ class CandidateRecord:
     kept: bool
 
 
-def _candidates(theory: DefaultTheory, max_states: int = DEFAULT_MAX_STATES,
-                ) -> Iterator[tuple[CandidateRecord, ExtensionBasis | None]]:
+def _candidates(theory: DefaultTheory) -> Iterator[tuple[CandidateRecord, ExtensionBasis | None]]:
     """The sweep every query runs: each rank's transcript record, with its
-    extension when kept (the operator reproduces the candidate's fired set
-    and no earlier extension has the same closure), else None.
-
-    Entailment is monotone, so a default whose prerequisite the facts plus
-    every M-consequent do not entail, or that the facts alone block, fires
-    in no candidate: subsets containing it are rejected without the operator.
+    extension when the operator reproduces the candidate's fired set, else
+    None.  Closure-equivalent candidates fire the same set, so no two kept
+    ranks share a closure.  Entailment is monotone, so a default whose
+    prerequisite the facts plus every M-consequent do not entail, or that
+    the facts alone block, fires in no candidate: subsets containing it are
+    rejected without the operator.
     """
     n = len(theory.defaults)
-    if 1 << n > max_states:
-        raise SearchLimitError(f"candidate sweep of 2^{n} exceeds {max_states} states")
+    if 1 << n > DEFAULT_MAX_STATES:
+        raise SearchLimitError(f"candidate sweep of 2^{n} exceeds {DEFAULT_MAX_STATES} states")
     everything = candidate_basis(theory, theory.defaults)
     facts = frozenset(theory.facts)
     never_fires = sum(1 << i for i, d in enumerate(theory.defaults)
                       if not _proof(everything, d.prereq) or not _consistent(facts, d))
-    kept: list[ExtensionBasis] = []
     for rank in range(1 << n):
         indices = tuple(i for i in range(n) if rank >> i & 1)
         ok = False
         if not rank & never_fires:
             subset = tuple(theory.defaults[i] for i in indices)
             g = gamma(theory, ExtensionBasis(candidate_basis(theory, subset), subset))
-            # a reproduced fired set rebuilds the candidate basis itself: no closure re-check
-            ok = (set(g.fired) == set(subset)
-                  and not any(closure_equivalent(g.basis, e.basis) for e in kept))
-        if ok:
-            kept.append(g)
+            ok = set(g.fired) == set(subset)
         yield CandidateRecord(rank, indices, ok), g if ok else None
 
 
 def extensions(theory: DefaultTheory) -> tuple[ExtensionBasis, ...]:
-    """All extensions, in candidate-rank order, deduplicated up to mutual
-    entailment.
+    """All extensions, in candidate-rank order: one per fired subset that
+    the firing operator reproduces.
 
     Raises SearchLimitError when the 2^n candidates exceed
     DEFAULT_MAX_STATES.
@@ -331,18 +326,18 @@ class BraveFailure:
         return False
 
 
-def brave_prove(query: BraveSequent, max_states: int = DEFAULT_MAX_STATES) -> BraveProof | BraveFailure:
-    """First extension in the candidate sweep that entails every Sigma
-    formula and no Theta formula, or failure after all 2^n ranks.
+def brave_prove(query: BraveSequent) -> BraveProof | BraveFailure:
+    """First extension (one per reproduced fired subset) that entails every
+    Sigma formula and no Theta formula, or failure after all 2^n ranks.
 
     The certificate fires the extension's defaults in firing order, each
     prerequisite proved from the basis replayed so far, then blocks every
     other default for the first reason that holds of the final basis:
     prerequisite not entailed, else the first entailed ~Bj, else ~L C.
-    Raises SearchLimitError past ``max_states`` candidates and ValueError on
-    a repeated default.
+    Raises SearchLimitError when the 2^n candidates exceed
+    DEFAULT_MAX_STATES, and ValueError on a repeated default.
     """
-    for _, e in _candidates(DefaultTheory(query.gamma, query.delta), max_states):
+    for _, e in _candidates(DefaultTheory(query.gamma, query.delta)):
         if (e is not None and all(_proof(e.basis, f) for f in query.sigma)
                 and not any(_proof(e.basis, f) for f in query.theta)):
             return _brave_certificate(query, e)
@@ -497,7 +492,8 @@ def check_brave_proof(proof: BraveProof) -> bool:
             theta.add(d.prereq)
         elif step.kind == BLOCKED_JUST:
             j = step.justification_index
-            if step.groundedness is not None or j is None or not 1 <= j <= len(d.justifications):
+            if (step.groundedness is not None or not isinstance(j, int) or isinstance(j, bool)
+                    or not 1 <= j <= len(d.justifications)):
                 return False
             sigma.add(Not(d.justifications[j - 1]))
         elif step.kind == BLOCKED_CERT:
@@ -526,28 +522,17 @@ def _sem_entailed(basis: frozenset[Formula], f: Formula) -> bool:
     return bool(tt_entails(basis, f))
 
 
-def _sem_equivalent(b1: frozenset[Formula], b2: frozenset[Formula]) -> bool:
-    return (all(_sem_entailed(b2, f) for f in b1)
-            and all(_sem_entailed(b1, f) for f in b2))
-
-
 @cache
 def _semantic_candidates(theory: DefaultTheory) -> tuple[tuple[int, tuple[int, ...], bool, frozenset[Formula]], ...]:
     """Candidate sweep with truth-table entailment instead of proof search;
     used only to audit skeptical certificates."""
     out = []
-    kept_bases: list[frozenset[Formula]] = []
     n = len(theory.defaults)
     for rank in range(1 << n):
         indices = tuple(i for i in range(n) if rank >> i & 1)
         subset = tuple(theory.defaults[i] for i in indices)
         cbasis = candidate_basis(theory, subset)
-        # a reproduced fired set rebuilds cbasis itself: no closure re-check
-        kept = (_semantic_fired(theory, cbasis) == set(subset)
-                and not any(_sem_equivalent(kb, cbasis) for kb in kept_bases))
-        if kept:
-            kept_bases.append(cbasis)
-        out.append((rank, indices, kept, cbasis))
+        out.append((rank, indices, _semantic_fired(theory, cbasis) == set(subset), cbasis))
     return tuple(out)
 
 
@@ -662,33 +647,46 @@ def brave_proof_to_doc(proof: BraveProof) -> dict:
     }
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (a bool is no int), else ValueError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"malformed {what} certificate")
+    return value
+
+
+def _list(doc: dict, key: str, kind: type, what: str) -> list:
+    return [_typed(item, kind, what) for item in _typed(doc.get(key), list, what)]
+
+
+def _formulas(doc: dict, key: str, what: str) -> frozenset[Formula]:
+    return frozenset(parse_formula(t) for t in _list(doc, key, str, what))
+
+
 def brave_proof_from_doc(doc) -> BraveProof:
+    """ValueError for a missing or mistyped field; a well-typed but wrong
+    certificate is read and left to the checker."""
     if not isinstance(doc, dict) or doc.get("kind") != "brave":
         raise ValueError("malformed brave certificate")
-    qd = doc["query"]
-    delta = tuple(parse_default(t) for t in qd["delta"])
-    query = BraveSequent(
-        frozenset(parse_formula(t) for t in qd["gamma"]),
-        delta,
-        frozenset(parse_formula(t) for t in qd["sigma"]),
-        frozenset(parse_formula(t) for t in qd["theta"]),
-    )
-    steps = []
-    for sd in doc["steps"]:
-        steps.append(Disposition(
-            parse_default(sd["default"]),
-            str(sd["disposition"]),
-            justification_index=sd.get("justification"),
-            groundedness=proof_from_doc(sd["groundedness"]) if "groundedness" in sd else None,
-        ))
+    qd = _typed(doc.get("query"), dict, "brave")
+    query = BraveSequent(_formulas(qd, "gamma", "brave"),
+                         tuple(parse_default(t) for t in _list(qd, "delta", str, "brave")),
+                         _formulas(qd, "sigma", "brave"), _formulas(qd, "theta", "brave"))
+    steps = tuple(Disposition(
+        parse_default(_typed(sd.get("default"), str, "brave")),
+        _typed(sd.get("disposition"), str, "brave"),
+        justification_index=(_typed(sd["justification"], int, "brave")
+                             if "justification" in sd else None),
+        groundedness=proof_from_doc(sd["groundedness"]) if "groundedness" in sd else None,
+    ) for sd in _list(doc, "steps", dict, "brave"))
     return BraveProof(
         query,
-        tuple(steps),
-        frozenset(parse_formula(t) for t in doc["basis"]),
-        tuple((parse_formula(e["formula"]), proof_from_doc(e["proof"]))
-              for e in doc["sigma_proofs"]),
-        tuple((parse_formula(e["formula"]), refutation_from_doc(e["refutation"]))
-              for e in doc["theta_refutations"]),
+        steps,
+        _formulas(doc, "basis", "brave"),
+        tuple((parse_formula(_typed(e.get("formula"), str, "brave")),
+               proof_from_doc(e.get("proof"))) for e in _list(doc, "sigma_proofs", dict, "brave")),
+        tuple((parse_formula(_typed(e.get("formula"), str, "brave")),
+               refutation_from_doc(e.get("refutation")))
+              for e in _list(doc, "theta_refutations", dict, "brave")),
     )
 
 
@@ -728,49 +726,52 @@ def skeptical_proof_to_doc(proof: SkepticalProof) -> dict:
     }
 
 
+def _constraint(text) -> SignedConstraint:
+    parsed = parse_constraints(_typed(text, str, "skeptical"))
+    if len(parsed) != 1:
+        raise ValueError("malformed constraint entry")
+    return parsed[0]
+
+
+def _indices(doc: dict, n: int) -> tuple[int, ...]:
+    """``doc["fired"]``: indices of defaults, each below ``n``."""
+    indices = tuple(_list(doc, "fired", int, "skeptical"))
+    if not all(0 <= i < n for i in indices):
+        raise ValueError("malformed skeptical certificate")
+    return indices
+
+
 def skeptical_proof_from_doc(doc) -> SkepticalProof:
+    """ValueError for a missing or mistyped field or a default index out of
+    range; a well-typed but wrong certificate is read and left to the
+    checker."""
     if not isinstance(doc, dict) or doc.get("kind") != "skeptical":
         raise ValueError("malformed skeptical certificate")
-    qd = doc["query"]
-    delta = tuple(parse_default(t) for t in qd["delta"])
-    constraints = []
-    for t in qd["constraints"]:
-        parsed = parse_constraints(t)
-        if len(parsed) != 1:
-            raise ValueError("malformed constraint entry")
-        constraints.append(parsed[0])
+    qd = _typed(doc.get("query"), dict, "skeptical")
+    delta = tuple(parse_default(t) for t in _list(qd, "delta", str, "skeptical"))
     query = SkepticalSequent(
-        frozenset(constraints),
-        frozenset(parse_formula(t) for t in qd["gamma"]),
-        delta,
-        frozenset(parse_formula(t) for t in qd["theta"]),
-    )
-    transcript = tuple(CandidateRecord(r["rank"], tuple(r["fired"]), bool(r["kept"]))
-                       for r in doc["transcript"])
+        frozenset(map(_constraint, _list(qd, "constraints", str, "skeptical"))),
+        _formulas(qd, "gamma", "skeptical"), delta, _formulas(qd, "theta", "skeptical"))
+    transcript = tuple(CandidateRecord(_typed(r.get("rank"), int, "skeptical"),
+                                       _indices(r, len(delta)),
+                                       _typed(r.get("kept"), bool, "skeptical"))
+                       for r in _list(doc, "transcript", dict, "skeptical"))
     verdicts = []
-    for vd in doc["extensions"]:
-        fired_indices = tuple(vd["fired"])
-        ext = ExtensionBasis(
-            frozenset(parse_formula(t) for t in vd["basis"]),
-            tuple(delta[i] for i in fired_indices),
-        )
-        evidence = []
-        for ed in vd["constraints"]:
-            parsed = parse_constraints(ed["constraint"])
-            if len(parsed) != 1:
-                raise ValueError("malformed constraint entry")
-            evidence.append(ConstraintEvidence(
-                parsed[0],
-                bool(ed["satisfied"]),
-                proof=proof_from_doc(ed["proof"]) if "proof" in ed else None,
-                refutation=refutation_from_doc(ed["refutation"]) if "refutation" in ed else None,
-            ))
+    for vd in _list(doc, "extensions", dict, "skeptical"):
+        fired_indices = _indices(vd, len(delta))
+        evidence = tuple(ConstraintEvidence(
+            _constraint(ed.get("constraint")),
+            _typed(ed.get("satisfied"), bool, "skeptical"),
+            proof=proof_from_doc(ed["proof"]) if "proof" in ed else None,
+            refutation=refutation_from_doc(ed["refutation"]) if "refutation" in ed else None,
+        ) for ed in _list(vd, "constraints", dict, "skeptical"))
         verdicts.append(ExtensionVerdict(
-            ext,
+            ExtensionBasis(_formulas(vd, "basis", "skeptical"),
+                           tuple(delta[i] for i in fired_indices)),
             fired_indices,
-            tuple(evidence),
-            bool(vd["satisfies_constraints"]),
-            goal=parse_formula(vd["goal"]) if "goal" in vd else None,
+            evidence,
+            _typed(vd.get("satisfies_constraints"), bool, "skeptical"),
+            goal=parse_formula(_typed(vd["goal"], str, "skeptical")) if "goal" in vd else None,
             goal_proof=proof_from_doc(vd["goal_proof"]) if "goal_proof" in vd else None,
         ))
     return SkepticalProof(query, transcript, tuple(verdicts))

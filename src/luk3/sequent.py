@@ -254,8 +254,13 @@ def failure_countermodel(failure: ProofFailure, root: Sequent3) -> Interpretatio
     witness = atomic_countermodel(failure.leaf.components)
     if witness is None:
         raise ValueError("leaf is an axiom, not a failure witness")
+    return _extend_witness(witness, root)
+
+
+def _extend_witness(witness: Interpretation, triple: ComponentTriple) -> Interpretation:
+    """``witness`` on the atoms of ``triple``, f where it has no value."""
     table = witness.as_dict()
-    return Interpretation(tuple((name, table.get(name, TruthValue.F)) for name in root.atoms()))
+    return Interpretation(tuple((name, table.get(name, TruthValue.F)) for name in triple.atoms()))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +393,17 @@ def _node_fields(doc, kind: str) -> tuple[str, str, list]:
 
 
 def proof_to_doc(tree: ProofTree) -> dict:
-    return {
-        "rule": tree.rule,
-        "sequent": print_sequent(tree.conclusion),
-        "premises": [proof_to_doc(p) for p in tree.premises],
-    }
+    """A shared subtree is written out per occurrence, each time as dicts of
+    its own, but each distinct node's sequent is printed once."""
+    texts: dict[int, str] = {}
+
+    def write(node: ProofTree) -> dict:
+        if id(node) not in texts:
+            texts[id(node)] = print_sequent(node.conclusion)
+        return {"rule": node.rule, "sequent": texts[id(node)],
+                "premises": [write(p) for p in node.premises]}
+
+    return write(tree)
 
 
 def proof_from_doc(doc) -> ProofTree:

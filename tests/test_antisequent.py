@@ -138,6 +138,32 @@ def test_refute_is_linear_in_chain_length(pool, monkeypatch):
             assert calls == 0, f
 
 
+def test_check_reads_each_principal_off(corpus, monkeypatch):
+    # the checker applies one anti-rule per step, to the formula the step's
+    # component loses, however many formulas share the connective
+    import luk3.antisequent as antisequent
+
+    calls = 0
+    apply = antisequent.apply_antirule
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return apply(*args)
+
+    refutations = [r for r in (refute(AntiSequent3(*s.components)) for s in corpus[::5]) if r]
+    monkeypatch.setattr(antisequent, "apply_antirule", counting)
+    for r in refutations:
+        steps = 0
+        node = r
+        while node.premise is not None:
+            steps += 1
+            node = node.premise
+        calls = 0
+        assert check_refutation(r)
+        assert calls == steps
+
+
 def test_complementarity_on_sample(pool, corpus):
     for s in corpus[::37]:
         proved = bool(prove(s))
@@ -231,8 +257,9 @@ class TestTextAndDocs:
         {"rule": "~:3@t", "sequent": "![ ; ; ~p]",
          "premises": [{"rule": "anti-axiom", "sequent": "![ ; ; p]", "premises": [],
                        "witness": "p=f"}]},
+        {"rule": "anti-axiom", "sequent": "![ ; ; p]", "premises": [], "witness": {"p": ["f"]}},
     ], ids=["int-sequent", "list-sequent", "null-rule", "null-premises", "null-witness",
-            "list-witness", "nested-text-witness"])
+            "list-witness", "nested-text-witness", "list-witness-value"])
     def test_mistyped_fields_rejected(self, doc):
         with pytest.raises(ValueError, match="malformed refutation document"):
             refutation_from_doc(doc)

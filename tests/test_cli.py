@@ -24,6 +24,15 @@ def fork_theory(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def wide_theory(tmp_path):
+    """20 defaults: 2^20 candidates, past the sweep budget."""
+    path = tmp_path / "wide.dl3"
+    path.write_text("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(20)),
+                    encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -158,16 +167,10 @@ class TestBrave:
         code, out, _ = run(capsys, "brave", str(path), "--in", "M c")
         assert (code, out) == (1, "underivable\n")
 
-    def test_state_limit_is_resource_error(self, capsys, fork_theory, monkeypatch):
-        monkeypatch.setenv("LUK3_MAX_STATES", "1")
-        code, out, err = run(capsys, "brave", fork_theory, "--in", "M b")
+    def test_state_limit_is_resource_error(self, capsys, wide_theory):
+        code, out, err = run(capsys, "brave", wide_theory, "--in", "M b0")
         assert code == 2 and out == ""
         assert "resource limit" in err
-
-    def test_bad_state_limit(self, capsys, fork_theory, monkeypatch):
-        monkeypatch.setenv("LUK3_MAX_STATES", "many")
-        code, out, err = run(capsys, "brave", fork_theory, "--in", "M b")
-        assert code == 2 and out == "" and "LUK3_MAX_STATES" in err
 
     def test_deterministic_json(self, capsys, fork_theory):
         first = run(capsys, "brave", "--json", fork_theory, "--in", "M b")
@@ -235,11 +238,13 @@ class TestResourceLimits:
         assert "resource limit" in err
         assert not path.exists()
 
-    def test_extensions_over_sweep_budget(self, capsys, tmp_path):
-        path = tmp_path / "wide.dl3"
-        path.write_text("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(20)),
-                        encoding="utf-8")
-        code, out, err = run(capsys, "extensions", str(path))
+    def test_extensions_over_sweep_budget(self, capsys, wide_theory):
+        code, out, err = run(capsys, "extensions", wide_theory)
+        assert code == 2 and out == ""
+        assert "resource limit" in err
+
+    def test_skeptical_over_sweep_budget(self, capsys, wide_theory):
+        code, out, err = run(capsys, "skeptical", wide_theory, "--goals", "a")
         assert code == 2 and out == ""
         assert "resource limit" in err
 

@@ -4,11 +4,14 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from mutation import brave_mutants, skeptical_mutants
 from conftest import query_pool
 from luk3.defaults import (
+    BLOCKED_JUST,
     BLOCKED_PREREQ,
     FIRED,
     BraveFailure,
@@ -38,7 +41,19 @@ from luk3.defaults import (
     skeptical_proof_from_doc,
     skeptical_proof_to_doc,
 )
-from luk3.syntax import Atom, Cert, Default, DefaultTheory, Not, Poss, parse_formula, parse_theory
+from luk3.syntax import (
+    And,
+    Atom,
+    Cert,
+    Default,
+    DefaultTheory,
+    Impl,
+    Not,
+    Or,
+    Poss,
+    parse_formula,
+    parse_theory,
+)
 
 A, B, C, Z = Atom("a"), Atom("b"), Atom("c"), Atom("z")
 MB = Poss(B)
@@ -231,11 +246,6 @@ class TestBrave:
         proof = brave_prove(q)
         assert proof and check_brave_proof(proof)
 
-    def test_state_limit(self):
-        q = BraveSequent(T_FORK.facts, T_FORK.defaults, frozenset(), frozenset({B}))
-        with pytest.raises(SearchLimitError):
-            brave_prove(q, max_states=2)
-
     def test_repeated_default_rejected(self):
         q = BraveSequent(T_SIMPLE.facts, T_SIMPLE.defaults * 2, frozenset({MB}), frozenset())
         with pytest.raises(ValueError):
@@ -360,6 +370,61 @@ def test_sweep_budget_covers_every_query():
         extensions(t)
     with pytest.raises(SearchLimitError):
         skeptical_decide(SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({A})))
+    with pytest.raises(SearchLimitError):
+        brave_prove(BraveSequent(t.facts, t.defaults, frozenset({A}), frozenset()))
+
+
+@st.composite
+def non_normal_queries(draw):
+    """A theory of at most 4 defaults over 2 or 3 atoms, with several
+    justifications, L/M consequents and closure-equivalent consequents
+    (b, b & b, ~~b, b | b), plus brave and skeptical query sets.  Half the
+    defaults come from shapes that fork or defeat themselves, since random
+    defaults seldom conflict."""
+    atoms = [Atom(n) for n in draw(st.sampled_from(["ab", "abc"]))]
+    a, b, c = atoms[0], atoms[1], atoms[-1]
+    literals = atoms + [Not(x) for x in atoms]
+    formulas = st.sampled_from(literals + [Poss(b), Cert(a), Impl(a, b), Or(b, c)])
+    prereqs = st.sampled_from([Impl(a, a), a, Poss(a), Poss(b)])
+    consequents = st.sampled_from([a, b, Not(a), Not(b), And(b, b), Not(Not(b)), Or(b, b),
+                                   Poss(b), Poss(Poss(b)), Cert(b), Cert(Not(a)), c])
+    shapes = st.sampled_from([
+        Default(a, (b,), b), Default(Impl(a, a), (Not(b),), Not(b)),  # a fork
+        Default(a, (Not(b),), Cert(b)),  # fires and defeats itself
+        Default(Impl(a, a), (b, c), And(b, b)), Default(Poss(a), (b,), Not(Not(b))),
+        Default(Poss(b), (c, Not(a)), Poss(c)), Default(Impl(a, a), (Not(c),), Not(c)),
+    ])
+    defaults = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(shapes) if draw(st.booleans()) else Default(
+            draw(prereqs), tuple(draw(st.lists(formulas, min_size=1, max_size=3, unique=True))),
+            draw(consequents))
+        if d not in defaults:
+            defaults.append(d)
+    t = DefaultTheory(draw(st.frozensets(st.sampled_from([a, Poss(a), Cert(a), Not(b), c]),
+                                         max_size=2)),
+                      tuple(defaults))
+    queries = st.frozensets(st.sampled_from(literals + [Poss(b), Cert(b), Impl(a, b)]), max_size=2)
+    constraints = st.frozensets(st.builds(SignedConstraint, st.booleans(), formulas), max_size=2)
+    return t, draw(queries), draw(queries), draw(constraints)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(non_normal_queries())
+@example((theory("fact: a.\ndefault: a : ~b / L b."), frozenset(), frozenset(), frozenset()))
+@example((theory("fact: a.\ndefault: a : b / b.\ndefault: a : b / ~~b.\ndefault: a : ~b / b & b."),
+          frozenset({MB}), frozenset({B}), frozenset({SignedConstraint(False, MB)})))
+def test_non_normal_agrees_with_oracles(drawn):
+    t, sigma, theta, constraints = drawn
+    engine = [e.basis for e in extensions(t)]
+    oracle = oracles.extensions(t)
+    assert len(engine) == len(oracle)
+    for eb, ob in zip(engine, oracle):
+        assert oracles.equivalent(eb, ob)
+    assert (bool(brave_prove(BraveSequent(t.facts, t.defaults, sigma, theta)))
+            == oracles.brave_holds(t, sigma, theta))
+    assert (bool(skeptical_decide(SkepticalSequent(constraints, t.facts, t.defaults, theta)))
+            == oracles.skeptical_holds(t, constraints, theta))
 
 
 def _sweep_queries(family, count, seed):
@@ -437,6 +502,66 @@ class TestCertificates:
             brave_proof_from_doc({"kind": "skeptical"})
         with pytest.raises(ValueError):
             skeptical_proof_from_doc({"kind": "brave"})
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["steps"][0].update(justification="1"),
+        lambda d: d["steps"][1].update(justification=True),
+        lambda d: d.pop("basis"),
+        lambda d: d.update(steps=None),
+        lambda d: d["steps"].append("fire"),
+        lambda d: d["steps"][0].update(disposition=None),
+        lambda d: d["sigma_proofs"][0].update(formula=7),
+        lambda d: d["sigma_proofs"][0].pop("proof"),
+        lambda d: d["query"].update(delta=[7]),
+    ], ids=["text-justification", "bool-justification", "missing-basis", "null-steps",
+            "text-step", "null-disposition", "int-formula", "missing-proof", "int-default"])
+    def test_mistyped_brave_doc_rejected(self, edit):
+        doc = json.loads(json.dumps(brave_proof_to_doc(self._brave_proof())))
+        edit(doc)
+        with pytest.raises(ValueError, match="malformed"):
+            brave_proof_from_doc(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["transcript"][1].update(fired=["0"]),
+        lambda d: d["transcript"][1].update(fired=[True]),
+        lambda d: d["transcript"][0].update(rank="0"),
+        lambda d: d["transcript"][0].update(kept=0),
+        lambda d: d["extensions"][0].update(fired=[9]),
+        lambda d: d["extensions"][0].update(fired=[-1]),
+        lambda d: d["extensions"][0].update(satisfies_constraints=1),
+        lambda d: d["extensions"][0]["constraints"][0].update(satisfied="yes"),
+        lambda d: d["extensions"][0]["constraints"][0].update(constraint=None),
+        lambda d: d["extensions"][0].update(goal=["M b"]),
+        lambda d: d.update(transcript=None),
+        lambda d: d["query"].update(gamma=[7]),
+    ], ids=["text-index", "bool-index", "text-rank", "int-kept", "index-past-end",
+            "negative-index", "int-satisfies", "text-satisfied", "null-constraint",
+            "list-goal", "null-transcript", "int-fact"])
+    def test_mistyped_skeptical_doc_rejected(self, edit):
+        doc = json.loads(json.dumps(skeptical_proof_to_doc(self._skeptical_proof())))
+        edit(doc)
+        with pytest.raises(ValueError, match="malformed"):
+            skeptical_proof_from_doc(doc)
+
+    def test_well_typed_wrong_docs_reach_the_checker(self):
+        doc = json.loads(json.dumps(brave_proof_to_doc(self._brave_proof())))
+        doc["steps"][1]["justification"] = 1  # a blocked-consequent-certainty step
+        assert not check_brave_proof(brave_proof_from_doc(doc))
+        doc = json.loads(json.dumps(skeptical_proof_to_doc(self._skeptical_proof())))
+        doc["extensions"][0]["fired"] = [1]
+        assert not check_skeptical_proof(skeptical_proof_from_doc(doc))
+
+    @pytest.mark.parametrize("index", ["1", True, 1.0, None])
+    def test_checker_rejects_mistyped_justification_index(self, index):
+        t = theory("fact: a.\nfact: ~b.\ndefault: a : b / c.")
+        proof = brave_prove(BraveSequent(t.facts, t.defaults, frozenset(), frozenset()))
+        (step,) = proof.steps
+        assert step.kind == BLOCKED_JUST and step.justification_index == 1
+        assert check_brave_proof(proof)
+        from dataclasses import replace
+
+        bad = replace(proof, steps=(replace(step, justification_index=index),))
+        assert check_brave_proof(bad) is False
 
     def test_checker_rejects_foreign_step(self):
         proof = self._brave_proof()

@@ -289,6 +289,28 @@ class TestDocSharing:
             assert check_proof(again, tree.conclusion)
             assert calls == sum(node.rule != "axiom" for node in nodes)
 
+    def test_writer_prints_each_distinct_node_once(self, monkeypatch):
+        tree = prove(parse_sequent("[ ; ; p -> p | p]"))
+        expected = proof_to_doc(tree)
+        calls = 0
+        real = luk3.sequent.print_sequent
+
+        def counting(s):
+            nonlocal calls
+            calls += 1
+            return real(s)
+
+        monkeypatch.setattr(luk3.sequent, "print_sequent", counting)
+        doc = proof_to_doc(tree)
+        assert doc == expected
+        assert calls == len(_distinct_nodes(tree))
+        nodes = [node for _, node in _doc_nodes(doc)]
+        assert len(nodes) > calls  # shared subtrees are written out per occurrence
+        assert len({id(node) for node in nodes}) == len(nodes)
+        copies = [node for node in nodes if node["sequent"] == "[p ; p ; p | p]"]
+        copies[0]["rule"] = "axiom"  # editing one occurrence leaves the others
+        assert [node["rule"] for node in copies[1:]] == ["|:3"] * (len(copies) - 1)
+
     @pytest.mark.parametrize("below", [(), (0,)], ids=["node", "its-premise"])
     def test_mutated_copy_is_not_merged(self, below):
         root = parse_sequent("[ ; ; p -> p | p]")
