@@ -88,16 +88,23 @@ def _rule_name(conn: str, position: int, values: tuple[TruthValue, ...]) -> str:
     return f"{conn}:{position}@{','.join(v.symbol for v in values)}"
 
 
+@cache
+def _antirule_inserts(values: tuple[TruthValue, ...]) -> tuple[tuple[int, int], ...]:
+    """(component index, argument index) of each insertion that pins the
+    arguments to ``values``, in rule order."""
+    return tuple((k, j) for j, v in enumerate(values) for k in range(3) if k != v.rank)
+
+
 def apply_antirule(a: AntiSequent3, principal: Formula, position: int,
                    values: tuple[TruthValue, ...]) -> AntiSequent3:
     """Premise: drop the principal, pin each argument to its committed value by
     inserting it into both other components."""
-    s = a.with_component(position, a.component(position) - {principal})
-    for arg, v in zip(children(principal), values):
-        for pos in (1, 2, 3):
-            if pos != v.rank + 1:
-                s = s.with_component(pos, s.component(pos) | {arg})
-    return s
+    args = children(principal)
+    comps = list(a.components)
+    comps[position - 1] = comps[position - 1] - {principal}
+    for k, j in _antirule_inserts(values):
+        comps[k] = comps[k] | {args[j]}
+    return type(a)(*comps)
 
 
 def is_antiaxiom(a: AntiSequent3) -> Interpretation | None:

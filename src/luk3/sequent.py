@@ -17,6 +17,7 @@ refutes the root definitively.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -141,20 +142,29 @@ class RuleInstance:
     conclusion: Sequent3
 
 
+@cache
+def _rule_inserts(conn: str, position: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The templates of ``generate_rules(conn, position)`` as (component
+    index, argument index) pairs, in template order."""
+    return tuple(tuple((v.rank, j) for j, v in template)
+                 for template in generate_rules(conn, position))
+
+
 def instantiate(conclusion: Sequent3, principal: Formula, position: int) -> RuleInstance:
     """Apply the generated rule for the principal's connective at ``position``."""
     conn = connective(principal)
     if conn is None:
         raise ValueError("cannot decompose an atom")
     args = children(principal)
-    base = conclusion.with_component(position, conclusion.component(position) - {principal})
+    base = list(conclusion.components)
+    base[position - 1] = base[position - 1] - {principal}
+    make = type(conclusion)
     premises = []
-    for template in generate_rules(conn, position):
-        s = base
-        for j, v in template:
-            pos = v.rank + 1
-            s = s.with_component(pos, s.component(pos) | {args[j]})
-        premises.append(s)
+    for inserts in _rule_inserts(conn, position):
+        comps = base.copy()
+        for k, j in inserts:
+            comps[k] = comps[k] | {args[j]}
+        premises.append(make(*comps))
     return RuleInstance(f"{conn}:{position}", principal, position, tuple(premises), conclusion)
 
 
@@ -171,16 +181,14 @@ def is_axiom(s: Sequent3) -> bool:
 def select_principal(s: ComponentTriple) -> tuple[Formula, int] | None:
     """Canonically least non-atomic formula and its least position, or None."""
     best = None
-    for position in (1, 2, 3):
-        for f in s.component(position):
+    for position, comp in enumerate(s.components, 1):
+        for f in comp:
             if isinstance(f, Atom):
                 continue
-            key = (sort_key(f), position)
-            if best is None or key < best[0]:
-                best = (key, f, position)
-    if best is None:
-        return None
-    return best[1], best[2]
+            key = f._key  # sort_key(f), read off the node
+            if best is None or key < best_key:
+                best, best_key = (f, position), key
+    return best
 
 
 @dataclass(frozen=True)
@@ -267,6 +275,16 @@ def _extend_witness(witness: Interpretation, triple: ComponentTriple) -> Interpr
 # Checking
 
 
+#: Proof nodes that passed ``check_proof``, by id, held weakly: a node is
+#: immutable, so it stays valid while it is alive, and its entry goes with it.
+_verified: dict[int, weakref.KeyedRef] = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _verified.get(ref.key) is ref:
+        del _verified[ref.key]
+
+
 def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
     """Audit a proof tree without redoing search.
 
@@ -274,15 +292,17 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
     each inner node's children must be exactly the premises obtained by
     applying the node's named rule to its principal: the one formula the
     named component loses in the first premise (every rule has a premise,
-    and inserts only proper subformulas).  Shared subtrees are verified once,
-    both in trees from ``prove`` and in trees read back by ``proof_from_doc``.
+    and inserts only proper subformulas).  A node that passed stays trusted
+    while it is alive, so shared subtrees are verified once, both in trees
+    from ``prove`` and in trees read back by ``proof_from_doc``, and a tree
+    that differs from a checked one in a single node costs the path to it.
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
-    valid: set[int] = set()
 
     def ok(node: ProofTree) -> bool:
-        if id(node) in valid:
+        ref = _verified.get(id(node))
+        if ref is not None and ref() is node:
             return True
         if node.rule == "axiom":
             good = not node.premises and is_axiom(node.conclusion)
@@ -300,7 +320,7 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
                             == tuple(p.conclusion for p in node.premises)
                             and all(ok(p) for p in node.premises))
         if good:
-            valid.add(id(node))
+            _verified[id(node)] = weakref.KeyedRef(node, _forget, id(node))
         return good
 
     return ok(tree)

@@ -23,13 +23,19 @@ Theory files (``.dl3``) are line-oriented UTF-8::
 
 Parsing a theory preserves the order of defaults as written; a duplicate fact
 or default raises :class:`DuplicateWarning` and the duplicate is dropped.
+
+Formula nodes are hash-consed: every constructor looks the node up in a weak
+table, so equal live formulas are one object, and set and dict lookups
+succeed on identity.  Each node stores its hash and its sort key, so neither
+depends on the formula's size.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, NoReturn
 
 __all__ = [
@@ -83,51 +89,139 @@ class DuplicateWarning(UserWarning):
 
 
 class Formula:
-    """Base class of the formula AST; concrete nodes are frozen dataclasses."""
+    """Base class of the formula AST: immutable, interned nodes.
 
+    Constructing a node equal to a live one returns that object.  Each node
+    stores its hash, which is ``hash`` of its field tuple, and its sort key;
+    both are built in O(1) from the children's stored values.
+    """
+
+    __slots__ = ("_hash", "_key", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # a node made without its constructor
+            return hash(self._fields())
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return hash(self) == hash(other) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+#: Live formula nodes by (class, *fields), held weakly.
+_interned: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _interned_node(key: tuple) -> Formula | None:
+    ref = _interned.get(key)
+    return None if ref is None else ref()
+
+
+def _intern(key: tuple, order: tuple) -> Formula:
+    """A new node of class ``key[0]`` with fields ``key[1:]`` and sort key
+    ``order``, entered in the table."""
+    cls, *values = key
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hash(tuple(values)))
+    object.__setattr__(node, "_key", order)
+    _interned[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _interned.get(ref.key) is ref:
+        del _interned[ref.key]
+
+
+class Atom(Formula):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _interned_node(key)
+        if node is None:
+            if not _ATOM_RE.fullmatch(name):
+                raise ValueError(f"invalid atom name {name!r}")
+            node = _intern(key, (0, name))
+        return node
+
+
+class _Unary(Formula):
+    __slots__ = ("arg",)
+    __match_args__ = ("arg",)
+
+    def __new__(cls, arg: Formula):
+        key = (cls, arg)
+        node = _interned_node(key)
+        if node is None:
+            node = _intern(key, (_RANK[cls], arg._key))
+        return node
+
+
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        node = _interned_node(key)
+        if node is None:
+            node = _intern(key, (_RANK[cls], left._key, right._key))
+        return node
+
+
+class Not(_Unary):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-
-    def __post_init__(self):
-        if not _ATOM_RE.fullmatch(self.name):
-            raise ValueError(f"invalid atom name {self.name!r}")
+class Impl(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    arg: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Impl(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Cert(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Cert(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Poss(Formula):
-    arg: Formula
+class Poss(_Unary):
+    __slots__ = ()
 
 
 _RANK = {Atom: 0, Not: 1, Impl: 2, And: 3, Or: 4, Cert: 5, Poss: 6}
@@ -146,7 +240,7 @@ def children(f: Formula) -> tuple[Formula, ...]:
     """Immediate subformulas, left to right."""
     if isinstance(f, Atom):
         return ()
-    if isinstance(f, (Not, Cert, Poss)):
+    if isinstance(f, _Unary):
         return (f.arg,)
     return (f.left, f.right)  # type: ignore[union-attr]
 
@@ -155,11 +249,10 @@ def sort_key(f: Formula) -> tuple:
     """Key for the canonical total order on formulas.
 
     Orders by constructor rank, then recursively by children, then by atom
-    name; equal keys coincide with structural equality.
+    name; equal keys coincide with structural equality.  The key is stored
+    on the node.
     """
-    if isinstance(f, Atom):
-        return (0, f.name)
-    return (_RANK[type(f)],) + tuple(sort_key(c) for c in children(f))
+    return f._key
 
 
 def atoms(f: Formula) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import strategies as st
@@ -63,6 +64,32 @@ def corpus_sequents(pool: list[Formula]) -> list[Sequent3]:
                  for _ in range(3)]
         out.append(Sequent3(*comps))
     return out
+
+
+@cache
+def context_variants() -> tuple[tuple[frozenset[Formula], ...], ...]:
+    """Component contexts for rule tests: each of r, p and q (the principals'
+    arguments) placed in every subset of the three components, then seeded
+    contexts of six depth-2 formulas per component, large enough for a
+    set's iteration order to depend on the order of its insertions."""
+    out = [tuple(frozenset({Atom(name)}) if mask >> k & 1 else frozenset() for k in range(3))
+           for name in ("r", "p", "q") for mask in range(8)]
+    pool = depth2_pool()
+    rng = random.Random(5)
+    out += [tuple(frozenset(rng.sample(pool, 6)) for _ in range(3)) for _ in range(20)]
+    return tuple(out)
+
+
+@cache
+def sampled_principals(conn: str) -> tuple[Formula, ...]:
+    """Ten seeded principals with connective ``conn`` over depth-2 arguments.
+    Inserting these arguments into the contexts above often collides in a
+    set's table, where a different insertion order shows up as a different
+    iteration order."""
+    make = {"~": Not, "->": Impl, "&": And, "|": Or, "L": Cert, "M": Poss}[conn]
+    pool = depth2_pool()
+    rng = random.Random(11)
+    return tuple(make(*rng.sample(pool, 1 if make in UNARY else 2)) for _ in range(10))
 
 
 def family_theories() -> list[DefaultTheory]:

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from conftest import context_variants, sampled_principals
 from mutation import refutation_mutants
 from luk3.antisequent import (
     AntiSequent3,
     RefutationFailure,
     RefutationTree,
+    apply_antirule,
     as_sequent,
     check_refutation,
     countermodel_of,
@@ -20,9 +22,15 @@ from luk3.antisequent import (
     refutation_to_doc,
     refute,
 )
-from luk3.semantics import VALUES, Interpretation, tt_sequent_true, tt_sequent_valid
+from luk3.semantics import (
+    VALUES,
+    Interpretation,
+    enumerate_interpretations,
+    tt_sequent_true,
+    tt_sequent_valid,
+)
 from luk3.sequent import Sequent3, prove
-from luk3.syntax import Atom, Not, Poss, parse_formula
+from luk3.syntax import ARITY, Atom, Not, Poss, children, parse_formula
 
 F, U, T = VALUES
 P, Q = Atom("p"), Atom("q")
@@ -41,12 +49,45 @@ class TestGenerateAntirules:
 
     def test_tuples_exclude_the_component_value(self):
         from luk3.semantics import apply_connective
-        from luk3.syntax import ARITY
 
         for conn in ARITY:
             for position in (1, 2, 3):
                 for values in generate_antirules(conn, position):
                     assert apply_connective(conn, values) is not VALUES[position - 1]
+
+
+def _literal_by_literal(a, principal, position, values):
+    """apply_antirule's premise built as one new anti-sequent per insertion."""
+    s = a.with_component(position, a.component(position) - {principal})
+    for arg, v in zip(children(principal), values):
+        for pos in (1, 2, 3):
+            if pos != v.rank + 1:
+                s = s.with_component(pos, s.component(pos) | {arg})
+    return s
+
+
+@pytest.mark.parametrize("conn", sorted(ARITY))
+@pytest.mark.parametrize("position", [1, 2, 3])
+def test_antirules_are_sound(conn, position):
+    """An interpretation falsifying the premise falsifies the conclusion; the
+    premise is the one built one insertion at a time, with the same set order."""
+    texts = [f"{conn} p"] if ARITY[conn] == 1 else [f"p {conn} q", f"p {conn} p"]
+    small = [parse_formula(text) for text in texts]
+    for principal in small + list(sampled_principals(conn)):
+        for context in context_variants():
+            conclusion = AntiSequent3(*context).with_component(
+                position, context[position - 1] | {principal})
+            for values in generate_antirules(conn, position):
+                premise = apply_antirule(conclusion, principal, position, values)
+                reference = _literal_by_literal(conclusion, principal, position, values)
+                assert premise == reference
+                assert ([list(c) for c in premise.components]
+                        == [list(c) for c in reference.components])
+                if principal not in small:
+                    continue  # the truth tables are checked on the small principals
+                for i in enumerate_interpretations(["p", "q", "r"]):
+                    if not tt_sequent_true(as_sequent(premise), i):
+                        assert not tt_sequent_true(as_sequent(conclusion), i)
 
 
 class TestIsAntiaxiom:

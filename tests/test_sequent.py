@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 from itertools import product
 
 import pytest
 
 import luk3.sequent
+from conftest import context_variants, sampled_principals
 from mutation import proof_mutants
 from luk3.semantics import VALUES, enumerate_interpretations, tt_sequent_true, tt_sequent_valid
 from luk3.sequent import (
@@ -25,7 +27,18 @@ from luk3.sequent import (
     prove,
     prove_entailment,
 )
-from luk3.syntax import ARITY, Atom, Impl, Not, Or, ParseError, Poss, parse_formula
+from luk3.syntax import (
+    ARITY,
+    Atom,
+    Impl,
+    Not,
+    Or,
+    ParseError,
+    Poss,
+    children,
+    connective,
+    parse_formula,
+)
 
 F, U, T = VALUES
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -52,25 +65,42 @@ class TestGenerateRules:
                 assert generate_rules(conn, position) == generate_rules(conn, position)
 
 
-def _context_variants():
-    """The formula r placed in every subset of the three components."""
-    for mask in range(8):
-        yield tuple(frozenset({R}) if mask >> k & 1 else frozenset() for k in range(3))
+def _literal_by_literal(conclusion, principal, position):
+    """instantiate's premises built as one new sequent per inserted literal."""
+    args = children(principal)
+    base = conclusion.with_component(position, conclusion.component(position) - {principal})
+    premises = []
+    for template in generate_rules(connective(principal), position):
+        s = base
+        for j, v in template:
+            pos = v.rank + 1
+            s = s.with_component(pos, s.component(pos) | {args[j]})
+        premises.append(s)
+    return tuple(premises)
 
 
 @pytest.mark.parametrize("conn", sorted(ARITY))
 @pytest.mark.parametrize("position", [1, 2, 3])
 def test_rules_are_invertible(conn, position):
-    """Conclusion true under an interpretation iff all premises are."""
-    principal = parse_formula(f"p {conn} q" if ARITY[conn] == 2 else f"{conn} p")
-    for context in _context_variants():
-        conclusion = Sequent3(*context).with_component(
-            position, context[position - 1] | {principal})
-        inst = instantiate(conclusion, principal, position)
-        for i in enumerate_interpretations(["p", "q", "r"]):
-            conclusion_true = tt_sequent_true(conclusion, i)
-            premises_true = all(tt_sequent_true(prem, i) for prem in inst.premises)
-            assert conclusion_true == premises_true
+    """Conclusion true under an interpretation iff all premises are; the
+    premises are those built one literal at a time, with the same set order."""
+    texts = [f"{conn} p"] if ARITY[conn] == 1 else [f"p {conn} q", f"p {conn} p"]
+    small = [parse_formula(text) for text in texts]
+    for principal in small + list(sampled_principals(conn)):
+        for context in context_variants():
+            conclusion = Sequent3(*context).with_component(
+                position, context[position - 1] | {principal})
+            inst = instantiate(conclusion, principal, position)
+            reference = _literal_by_literal(conclusion, principal, position)
+            assert inst.premises == reference
+            assert ([[list(c) for c in prem.components] for prem in inst.premises]
+                    == [[list(c) for c in prem.components] for prem in reference])
+            if principal not in small:
+                continue  # the truth tables are checked on the small principals
+            for i in enumerate_interpretations(["p", "q", "r"]):
+                conclusion_true = tt_sequent_true(conclusion, i)
+                premises_true = all(tt_sequent_true(prem, i) for prem in inst.premises)
+                assert conclusion_true == premises_true
 
 
 class TestIsAxiom:
@@ -175,6 +205,44 @@ class TestChecker:
             assert check_proof(result, root)
             for mutant in proof_mutants(result):
                 assert not check_proof(mutant, root)
+
+
+class TestVerifiedMemo:
+    def test_mutant_costs_its_path(self, corpus, monkeypatch):
+        # a checked tree stays trusted, so a single-node mutant of it is
+        # verified only along the new nodes from its root to the mutation
+        conclusions = []
+        real = luk3.sequent.instantiate
+
+        def counting(conclusion, *args):
+            conclusions.append(conclusion)
+            return real(conclusion, *args)
+
+        proofs = [p for p in map(prove, corpus[::50]) if p and p.premises]
+        assert proofs
+        monkeypatch.setattr(luk3.sequent, "instantiate", counting)
+        for proof in proofs:
+            assert check_proof(proof)
+            conclusions.clear()
+            assert check_proof(proof)
+            assert conclusions == []
+            genuine = {id(node) for node in _distinct_nodes(proof)}
+            for mutant in proof_mutants(proof):
+                path = [node for node in _distinct_nodes(mutant) if id(node) not in genuine]
+                conclusions.clear()
+                assert not check_proof(mutant)
+                assert len(conclusions) <= len(path)
+                assert {id(c) for c in conclusions} <= {id(node.conclusion) for node in path}
+
+    def test_memo_forgets_dropped_trees(self):
+        gc.collect()
+        before = len(luk3.sequent._verified)
+        proof = prove(parse_sequent("[ ; ; (p -> q) -> (~q -> ~p)]"))
+        assert check_proof(proof)
+        assert len(luk3.sequent._verified) > before
+        del proof
+        gc.collect()
+        assert len(luk3.sequent._verified) == before
 
 
 class TestTextAndDocs:

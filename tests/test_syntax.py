@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 
@@ -17,6 +23,7 @@ from luk3.syntax import (
     ParseError,
     Poss,
     atoms,
+    children,
     parse_default,
     parse_formula,
     parse_formula_list,
@@ -205,3 +212,79 @@ def test_atom_name_validation():
     with pytest.raises(ValueError):
         Atom("")
     assert Atom("a_1X").name == "a_1X"
+
+
+#: Constructor ranks of the canonical order, restated for the reference key.
+_RANKS = {Atom: 0, Not: 1, Impl: 2, And: 3, Or: 4, Cert: 5, Poss: 6}
+
+
+def _reference_key(f):
+    """The canonical sort key, recomputed recursively."""
+    if isinstance(f, Atom):
+        return (0, f.name)
+    return (_RANKS[type(f)],) + tuple(_reference_key(c) for c in children(f))
+
+
+class TestInterning:
+    def test_equal_formulas_are_one_object(self):
+        f = Impl(And(A, Not(B)), Poss(C))
+        rebuilt = [
+            Impl(And(Atom("a"), Not(Atom("b"))), Poss(Atom("c"))),
+            parse_formula("a & ~b -> M c"),
+            copy.copy(f),
+            copy.deepcopy(f),
+            pickle.loads(pickle.dumps(f)),
+        ]
+        assert all(g is f for g in rebuilt)
+
+    def test_hash_is_that_of_the_fields(self, pool):
+        for f in pool:
+            fields = (f.name,) if isinstance(f, Atom) else children(f)
+            assert hash(f) == hash(fields)
+
+    def test_sort_key_matches_reference_on_pool(self, pool):
+        for f in pool:
+            assert sort_key(f) == _reference_key(f)
+
+    def test_copy_made_around_the_table_compares_equal(self):
+        f = Impl(A, Not(B))
+        g = object.__new__(Impl)
+        object.__setattr__(g, "left", A)
+        object.__setattr__(g, "right", Not(B))
+        assert g is not f
+        assert g == f and f == g and hash(g) == hash(f)
+        assert g in {f} and f in {g}
+        assert g != Impl(A, Not(C))
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(FrozenInstanceError):
+            A.name = "b"
+        with pytest.raises(FrozenInstanceError):
+            del Not(A).arg
+        assert Atom("a").name == "a"
+
+    def test_deep_formula_needs_no_recursion(self):
+        f = g = Atom("p")
+        for _ in range(5000):
+            f, g = Not(f), Not(g)
+        assert f is g and f == g and hash(f) == hash(g)
+        assert f != Not(f) and hash(f) == hash((f.arg,))
+        assert sorted([Poss(f), f, Not(A), A], key=sort_key) == [A, Not(A), f, Poss(f)]
+        assert frozenset({f, Not(f), g}) == {f, Not(f)}
+
+    def test_unreferenced_formula_dies(self):
+        f = Impl(Atom("zz_dies"), Not(Atom("zz_dies")))
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+
+    def test_invalid_atom_name_still_raises(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Atom("Upper")
+
+
+@given(formulas_strategy())
+def test_sort_key_matches_reference(f):
+    assert sort_key(f) == _reference_key(f)
