@@ -39,7 +39,7 @@ from .sequent import (
     Sequent3,
     _extend_witness,
     _node_fields,
-    _SharingParser,
+    _read_components,
     failure_countermodel,
     parse_component_fields,
     print_sequent,
@@ -249,10 +249,7 @@ def print_antisequent(a: AntiSequent3) -> str:
 
 def parse_antisequent(text: str) -> AntiSequent3:
     """Parse ``![ f1 ; f2 ; f3 ]``."""
-    return _parse_antisequent(TokenParser(tokenize(text)))
-
-
-def _parse_antisequent(p: TokenParser) -> AntiSequent3:
+    p = TokenParser(tokenize(text))
     p.expect("!")
     p.expect("[")
     comps = parse_component_fields(p)
@@ -272,11 +269,12 @@ def refutation_to_doc(tree: RefutationTree) -> dict:
 
 
 def refutation_from_doc(doc) -> RefutationTree:
-    """Read a refutation document back; within one document each distinct
-    formula is parsed once.  Raises ParseError for a bad anti-sequent text,
-    exactly as ``parse_antisequent`` does on it, and ValueError for a
-    malformed node."""
-    formulas: dict[tuple[str, ...], Formula] = {}
+    """Read a refutation document back.  Within one document each formula
+    entry is looked up by its text and tokenized only when first seen; a
+    text that does not split into entries is parsed in full.  Raises
+    ParseError for a bad anti-sequent text, exactly as ``parse_antisequent``
+    does on it, and ValueError for a malformed node."""
+    formulas: dict[str, Formula] = {}
 
     def read(doc) -> RefutationTree:
         rule, text, premises = _node_fields(doc, "refutation")
@@ -288,11 +286,15 @@ def refutation_from_doc(doc) -> RefutationTree:
                     or not all(isinstance(v, str) for v in doc["witness"].values())):
                 raise ValueError("malformed refutation document")
             witness = Interpretation.from_mapping(doc["witness"])
+        comps = _read_components(text, "![", formulas)
         return RefutationTree(
-            _parse_antisequent(_SharingParser(text, formulas)),
+            parse_antisequent(text) if comps is None else AntiSequent3.of(*comps),
             rule,
             premise=read(premises[0]) if premises else None,
             witness=witness,
         )
 
-    return read(doc)
+    try:
+        return read(doc)
+    finally:
+        del read  # read refers to itself; the cycle would keep the tables until a collection

@@ -28,6 +28,7 @@ from .syntax import (
     ARITY,
     Atom,
     Formula,
+    ParseError,
     TokenParser,
     atoms,
     children,
@@ -352,54 +353,62 @@ def parse_component_fields(p: TokenParser) -> list[tuple[Formula, ...]]:
 
 def parse_sequent(text: str) -> Sequent3:
     """Parse ``[ f1, f2 ; ; g ]``."""
-    return _parse_sequent(TokenParser(tokenize(text)))
-
-
-def _parse_sequent(p: TokenParser) -> Sequent3:
+    p = TokenParser(tokenize(text))
     p.expect("[")
     comps = parse_component_fields(p)
     p.expect_end()
     return Sequent3.of(*comps)
 
 
-#: Token kinds that end one entry of a formula list in a sequent.
-_ENTRY_END = frozenset({",", ";", "]", "end"})
+#: The tokenizer's blanks, stripped from the ends of an entry.
+_BLANKS = " \t\r\n"
 
 
-class _SharingParser(TokenParser):
-    """TokenParser over one sequent or anti-sequent text of a document that
-    parses each distinct formula-list entry once per document.
+def _read_components(text: str, head: str, formulas: dict[str, Formula]
+                     ) -> list[list[Formula]] | None:
+    """The components of ``head F ; F ; F]`` read entry by entry, or None
+    when ``text`` needs the full parser.
 
-    An entry is the token slice up to the next ``,`` ``;`` or ``]``; no
-    formula contains those tokens, and a slice that the parser consumed
-    exactly yields the same formula wherever its token texts recur.  Other
-    slices are parsed in full every time, so the accepted input, the
-    formulas and every ParseError are those of TokenParser.
+    ``,`` and ``;`` are one-character tokens that no atom contains, and
+    without ``%`` there is no comment, so splitting the raw text at them
+    splits its token stream the same way.  Each entry, stripped of blanks,
+    is looked up in ``formulas``; a miss is tokenized and parsed alone and
+    stored when it is exactly one formula.  An empty entry, an entry that
+    is not one formula (a stray bracket makes one), or a text of another
+    shape gives None, so the full parser decides it and raises its errors.
     """
+    if not (text.startswith(head) and text.endswith("]")) or "%" in text:
+        return None
+    fields = text[len(head):-1].split(";")
+    if len(fields) != 3:
+        return None
+    comps = []
+    for field in fields:
+        comp = []
+        if field.strip(_BLANKS):
+            for entry in field.split(","):
+                entry = entry.strip(_BLANKS)
+                f = formulas.get(entry)
+                if f is None:
+                    f = _entry_formula(entry)
+                    if f is None:
+                        return None
+                    formulas[entry] = f
+                comp.append(f)
+        comps.append(comp)
+    return comps
 
-    def __init__(self, text: str, formulas: dict[tuple[str, ...], Formula]):
-        super().__init__(tokenize(text))
-        self._formulas = formulas
 
-    def formula_list(self) -> tuple[Formula, ...]:
-        out = [self._entry()]
-        while self.accept(","):
-            out.append(self._entry())
-        return tuple(out)
-
-    def _entry(self) -> Formula:
-        end = self._pos
-        while self._tokens[end].kind not in _ENTRY_END:
-            end += 1
-        key = tuple(tok.text for tok in self._tokens[self._pos:end])
-        f = self._formulas.get(key)
-        if f is None:
-            f = self.formula()
-            if self._pos == end:
-                self._formulas[key] = f
-        else:
-            self._pos = end
-        return f
+def _entry_formula(entry: str) -> Formula | None:
+    """The formula ``entry`` spells exactly, or None.  A formula nested too
+    deeply to parse also gives None: the full parser then raises the error
+    the text's first fault gives, which may be a ParseError further on."""
+    try:
+        p = TokenParser(tokenize(entry))
+        f = p.formula()
+    except (ParseError, RecursionError):
+        return None
+    return f if p.at_end() else None
 
 
 def _node_fields(doc, kind: str) -> tuple[str, str, list]:
@@ -431,13 +440,15 @@ def proof_from_doc(doc) -> ProofTree:
 
     ``proof_to_doc`` writes every shared subtree out once per occurrence;
     reading rebuilds the sharing.  Within one document each distinct
-    sequent text and each distinct formula is parsed once, and nodes with
-    the same rule, sequent text and (already shared) premises are one
-    ProofTree object, so ``check_proof`` verifies each distinct subtree once.
-    Raises ParseError for a bad sequent text, exactly as ``parse_sequent``
-    does on it, and ValueError for a malformed node.
+    sequent text is read once, and each formula entry is looked up by its
+    text and tokenized only when first seen; a text that does not split
+    into entries is parsed in full.  Nodes with the same rule, sequent text
+    and (already shared) premises are one ProofTree object, so
+    ``check_proof`` verifies each distinct subtree once.  Raises ParseError
+    for a bad sequent text, exactly as ``parse_sequent`` does on it, and
+    ValueError for a malformed node.
     """
-    formulas: dict[tuple[str, ...], Formula] = {}
+    formulas: dict[str, Formula] = {}
     sequents: dict[str, Sequent3] = {}
     nodes: dict[tuple[str, str, tuple[int, ...]], ProofTree] = {}
 
@@ -445,7 +456,9 @@ def proof_from_doc(doc) -> ProofTree:
         rule, text, premises = _node_fields(doc, "proof")
         s = sequents.get(text)
         if s is None:
-            s = sequents[text] = _parse_sequent(_SharingParser(text, formulas))
+            comps = _read_components(text, "[", formulas)
+            s = parse_sequent(text) if comps is None else Sequent3.of(*comps)
+            sequents[text] = s
         subproofs = tuple(read(p) for p in premises)
         key = (rule, text, tuple(map(id, subproofs)))
         node = nodes.get(key)
@@ -453,4 +466,7 @@ def proof_from_doc(doc) -> ProofTree:
             node = nodes[key] = ProofTree(s, rule, subproofs)
         return node
 
-    return read(doc)
+    try:
+        return read(doc)
+    finally:
+        del read  # read refers to itself; the cycle would keep the tables until a collection

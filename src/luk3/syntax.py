@@ -36,7 +36,7 @@ import re
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, NoReturn
+from typing import Iterable, NamedTuple, NoReturn
 
 __all__ = [
     "ARITY",
@@ -301,53 +301,57 @@ class DefaultTheory:
 # Lexer
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # the symbol itself, "atom", or "end"
+class Token(NamedTuple):
+    """One lexeme: ``kind`` is the symbol itself, "atom", or "end"; ``line``
+    and ``column`` are 1-based."""
+
+    kind: str
     text: str
     line: int
     column: int
 
 
+#: One alternative per lexeme class; the group that matched names the class.
+_TOKEN_RE = re.compile(r"""
+    (\n)                         # 1: newline
+  | [ \t\r]+                     #    blanks
+  | (%[^\n]*)                    # 2: comment, up to the end of the line
+  | (->|[~&|(),;:/.\[\]!+\-LM])  # 3: symbol
+  | ([a-z][A-Za-z0-9_]*)         # 4: atom
+  | (.)                          # 5: anything else is an error
+""", re.VERBOSE | re.DOTALL)
+
+
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
-    """Split ``text`` into tokens, skipping whitespace and ``%`` comments."""
+    """Split ``text`` into tokens, skipping blanks (space, tab, carriage
+    return, newline) and ``%`` comments, and end with an "end" token.
+
+    Columns count code points from the start of the line.  After a comment
+    that ends the text, the "end" token sits at the comment's column.
+    """
     tokens: list[Token] = []
-    line, col = first_line, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = first_line, 0
+    comment_at = None
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:
+            continue
+        if group == 3:
+            symbol = m.group()
+            tokens.append(Token(symbol, symbol, line, m.start() - line_start + 1))
+        elif group == 4:
+            tokens.append(Token("atom", m.group(), line, m.start() - line_start + 1))
+        elif group == 1:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "~&|(),;:/.[]!+-" or ch in ("L", "M"):
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _ATOM_RE.match(text, i)
-        if m:
-            name = m.group()
-            tokens.append(Token("atom", name, line, col))
-            i = m.end()
-            col += len(name)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+            line_start = m.end()
+            comment_at = None
+        elif group == 2:
+            comment_at = m.start()
+        else:
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             line, m.start() - line_start + 1)
+    end = len(text) if comment_at is None else comment_at
+    tokens.append(Token("end", "", line, end - line_start + 1))
     return tokens
 
 
@@ -473,12 +477,20 @@ def parse_default(text: str) -> Default:
     return d
 
 
+#: The line ends of a theory file: those that text-mode ``open`` translates.
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
 def parse_theory(text: str) -> DefaultTheory:
-    """Parse a ``.dl3`` theory file; default order is preserved as written."""
+    """Parse a ``.dl3`` theory file; default order is preserved as written.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, so a form feed or
+    another separator that ``str.splitlines`` would break at is an
+    unexpected character."""
     facts: list[Formula] = []
     defaults: list[Default] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        stripped = raw.strip(" \t")
         if not stripped or stripped.startswith("%"):
             continue
         p = TokenParser(tokenize(raw, first_line=lineno))

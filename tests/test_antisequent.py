@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -30,7 +31,7 @@ from luk3.semantics import (
     tt_sequent_valid,
 )
 from luk3.sequent import Sequent3, prove
-from luk3.syntax import ARITY, Atom, Not, Poss, children, parse_formula
+from luk3.syntax import ARITY, Atom, Not, ParseError, Poss, children, parse_formula
 
 F, U, T = VALUES
 P, Q = Atom("p"), Atom("q")
@@ -277,6 +278,48 @@ class TestTextAndDocs:
         again = refutation_from_doc(doc)
         assert again == result
         assert check_refutation(again, a)
+
+    def test_reading_leaves_no_cycle(self):
+        doc = refutation_to_doc(refute(parse_antisequent("![ ; ; (p | q) & ~p]")))
+        gc.collect()
+        gc.disable()
+        try:
+            assert refutation_from_doc(doc)
+            assert gc.collect() == 0  # the per-document table goes with the call
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("text", [
+        "![p ; q % ; r\n ; r]",     # a comment in a field
+        "![p ; q ; r % , s\n]",
+        "![p ; q ; r",              # no closing bracket
+        "![p ; p ; p\n | q]",       # a newline inside an entry
+        "! [p ; ; q]",              # text outside the brackets
+        "![p ; ; q] ",
+        "![p,\tq\t;\t;\tr]",       # tab separators
+        "![p,,q ; ; r]",            # empty entries
+        "![p, ; ; r]",
+        "![p ; [q ; r]",            # a stray bracket in a field
+        "![p ; q] ; r]",
+        "![p ; q]",                 # two or four fields
+        "![p ; q ; r ; r]",
+        "![p q ; ; r]",             # entries that are not one formula
+        "![p ; ~ ; r]",
+        "![p ; ; r\x0c]",
+        "[p ; ; q]",
+        pytest.param("![" + "~" * 3000 + "p ; ; p @]", id="too-deep-then-bad-character"),
+    ])
+    def test_reader_agrees_with_parse_antisequent(self, text):
+        doc = {"rule": "anti-axiom", "sequent": text, "premises": [], "witness": {"p": "f"}}
+        try:
+            expected = parse_antisequent(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                refutation_from_doc(doc)
+            assert ((got.value.message, got.value.line, got.value.column)
+                    == (err.message, err.line, err.column))
+        else:
+            assert refutation_from_doc(doc).conclusion == expected
 
     def test_malformed_docs_rejected(self):
         with pytest.raises(ValueError):

@@ -400,6 +400,74 @@ class TestDocSharing:
         assert len(others) == 1 and id(mutated) not in others
         assert not check_proof(read, root)
 
+    def test_each_entry_is_tokenized_once(self, pool, monkeypatch):
+        proofs = [t for t in (prove(Sequent3.of((), (), (f,))) for f in pool) if t]
+        assert len(proofs) == 232
+        seen: list[str] = []
+        real = luk3.sequent.tokenize
+
+        def counting(text, *args):
+            seen.append(text)
+            return real(text, *args)
+
+        monkeypatch.setattr(luk3.sequent, "tokenize", counting)
+        for tree in proofs:
+            doc = json.loads(json.dumps(proof_to_doc(tree)))
+            entries = {entry.strip() for _, node in _doc_nodes(doc)
+                       for field in node["sequent"][1:-1].split(";")
+                       for entry in field.split(",") if entry.strip()}
+            seen.clear()
+            assert proof_from_doc(doc) == tree
+            assert len(seen) == len(set(seen)) and set(seen) <= entries
+
+    def test_reading_leaves_no_cycle(self):
+        doc = proof_to_doc(prove(parse_sequent("[ ; ; p -> p | p]")))
+        gc.collect()
+        gc.disable()
+        try:
+            assert proof_from_doc(doc)
+            assert gc.collect() == 0  # the per-document tables go with the call
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("text", [
+        "[p ; q % ; r\n ; r]",     # a comment in a field
+        "[p ; q ; r %]\n]",
+        "[p ; q ; r % , s\n]",
+        "[p ; q ; r",              # no closing bracket
+        "[p ; p ; p\n | q]",       # a newline inside an entry
+        "[p ; p ; p |\n ~ ]",
+        " [p ; p ; p]",            # text outside the brackets
+        "[p ; p ; p]\n",
+        "[p,\tq\t;\t;\tp]",       # tab separators
+        "[\t ; \r ; \n]",
+        "[p,,q ; ; p]",            # empty entries
+        "[p, ; ; p]",
+        "[ , ; ; p]",
+        "[p ; [q ; p]",            # a stray bracket in a field
+        "[p ; q] ; p]",
+        "[p ; p]",                 # two or four fields
+        "[p ; p ; p ; p]",
+        "[p q ; ; p]",             # entries that are not one formula
+        "[p ; ~ ; p]",
+        "[p ; (p ; p)]",
+        "[p ; p ; p\x0c]",
+        "[P ; ; p]",
+        "![p ; p ; p]",
+        pytest.param("[" + "~" * 3000 + "p ; ; p @]", id="too-deep-then-bad-character"),
+    ])
+    def test_reader_agrees_with_parse_sequent(self, text):
+        doc = {"rule": "axiom", "sequent": text, "premises": []}
+        try:
+            expected = parse_sequent(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                proof_from_doc(doc)
+            assert ((got.value.message, got.value.line, got.value.column)
+                    == (err.message, err.line, err.column))
+        else:
+            assert proof_from_doc(doc).conclusion == expected
+
     @pytest.mark.parametrize("bad", [
         "[p ; p ; p | p, ~]",    # the entry p | p was read before the error
         "[p ; p ; p | p p]",     # a new entry that starts like one read before

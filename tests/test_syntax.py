@@ -3,11 +3,13 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+import re
 import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import formulas_strategy
 from luk3.syntax import (
@@ -31,6 +33,7 @@ from luk3.syntax import (
     print_default,
     print_formula,
     sort_key,
+    tokenize,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -164,6 +167,27 @@ class TestTheoryFiles:
             parse_theory("fact: a.\n\n% ok\nfact: ~.")
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_only_newlines_end_lines(self, sep):
+        # str.splitlines would break at each of these characters
+        for text, line, column in [(f"fact: a.{sep}fact: b.\n", 1, 9),
+                                   (f"fact: a.\n\nfact: b. {sep}\n", 3, 10),
+                                   (f"% ok\n{sep}\nfact: a.", 2, 1)]:
+            with pytest.raises(ParseError) as err:
+                parse_theory(text)
+            assert ((err.value.message, err.value.line, err.value.column)
+                    == (f"unexpected character {sep!r}", line, column))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files(self, newline):
+        text = newline.join(["% c", "fact: a.", "", "default: a : b / b.", ""])
+        t = parse_theory(text)
+        assert t.facts == frozenset({A}) and t.defaults == (Default(A, (B,), B),)
+        with pytest.raises(ParseError) as err:
+            parse_theory(text + newline.join(["fact: b.", "fact: ~."]))
+        assert (err.value.line, err.value.column) == (6, 8)
+
 
 class TestDefaults:
     def test_parse_print_round_trip(self):
@@ -204,6 +228,74 @@ def test_ordering_is_total(f, g):
     kf, kg = sort_key(f), sort_key(g)
     assert (kf < kg) + (kf == kg) + (kf > kg) == 1
     assert (kf == kg) == (f == g)
+
+
+_REFERENCE_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
+def _reference_tokenize(text, first_line=1):
+    """The lexer as a per-character loop: (kind, text, line, column) tuples."""
+    tokens = []
+    line, col = first_line, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("->", i):
+            tokens.append(("->", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "~&|(),;:/.[]!+-" or ch in ("L", "M"):
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        m = _REFERENCE_ATOM.match(text, i)
+        if m:
+            name = m.group()
+            tokens.append(("atom", name, line, col))
+            i = m.end()
+            col += len(name)
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+_LEXEMES = (list("~&|(),;:/.[]!+-LM") + ["->", "% c", "%;]", "\n", "\t", "\r", " ",
+             "p", "q1", "aL", "x_M9", "z"]
+            + list("AKNZ0_") + ["\u00e9", "\u03bb", "\x0c", "\x85", "\u2028", "\U0001d400"])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_LEXEMES), max_size=16).map("".join),
+       st.integers(min_value=1, max_value=3))
+@example("p % c", 1)  # the end token sits at the comment's column
+@example("a->-b\r\n% c\n", 2)
+def test_tokenize_matches_reference(text, first_line):
+    try:
+        expected = _reference_tokenize(text, first_line)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            tokenize(text, first_line)
+        assert ((got.value.message, got.value.line, got.value.column)
+                == (err.message, err.line, err.column))
+    else:
+        assert [(tok.kind, tok.text, tok.line, tok.column)
+                for tok in tokenize(text, first_line)] == expected
 
 
 def test_atom_name_validation():
