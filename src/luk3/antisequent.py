@@ -70,6 +70,8 @@ __all__ = [
 class AntiSequent3(ComponentTriple):
     """Refutable when some interpretation falsifies the matching sequent."""
 
+    __slots__ = ()
+
 
 def as_sequent(a: AntiSequent3) -> Sequent3:
     return Sequent3(*a.components)
@@ -84,6 +86,7 @@ def generate_antirules(conn: str, position: int) -> tuple[tuple[TruthValue, ...]
                  if apply_connective(conn, w) is not target)
 
 
+@cache
 def _rule_name(conn: str, position: int, values: tuple[TruthValue, ...]) -> str:
     return f"{conn}:{position}@{','.join(v.symbol for v in values)}"
 
@@ -100,7 +103,7 @@ def apply_antirule(a: AntiSequent3, principal: Formula, position: int,
     """Premise: drop the principal, pin each argument to its committed value by
     inserting it into both other components."""
     args = children(principal)
-    comps = list(a.components)
+    comps = list(a)
     comps[position - 1] = comps[position - 1] - {principal}
     for k, j in _antirule_inserts(values):
         comps[k] = comps[k] | {args[j]}

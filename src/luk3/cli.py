@@ -125,14 +125,19 @@ def _cmd_valid(args) -> int:
 
 
 def _render_proof(tree: ProofTree) -> str:
+    """One line per occurrence of a node, indented by its depth; a shared
+    subtree is printed at each occurrence, but each distinct node's sequent
+    is printed to text once."""
+    texts: dict[int, str] = {}
     lines: list[str] = []
-
-    def walk(node: ProofTree, depth: int) -> None:
-        lines.append("  " * depth + f"{node.rule}: {print_sequent(node.conclusion)}")
-        for p in node.premises:
-            walk(p, depth + 1)
-
-    walk(tree, 0)
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        text = texts.get(id(node))
+        if text is None:
+            text = texts[id(node)] = print_sequent(node.conclusion)
+        lines.append("  " * depth + f"{node.rule}: {text}")
+        stack.extend((p, depth + 1) for p in reversed(node.premises))
     return "\n".join(lines)
 
 

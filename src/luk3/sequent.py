@@ -21,7 +21,8 @@ import weakref
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from .semantics import VALUES, Interpretation, TruthValue, apply_connective, atomic_countermodel
 from .syntax import (
@@ -61,13 +62,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComponentTriple:
-    """Shared shape of sequents and anti-sequents: one formula set per value."""
+class ComponentTriple(tuple):
+    """Shared shape of sequents and anti-sequents: one formula set per value.
 
-    gamma1: frozenset[Formula]
-    gamma2: frozenset[Formula]
-    gamma3: frozenset[Formula]
+    A triple is a tuple of its three components, so its storage, hashing
+    and component reads run in C; its hash is that of the plain component
+    tuple.  Equality is per class: a triple equals only a triple of the same
+    class with equal components, never an anti-sequent or a plain tuple.
+    Triples are immutable, and subclasses keep ``__slots__ = ()`` so that
+    they have no attribute dict either.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gamma1: frozenset[Formula], gamma2: frozenset[Formula],
+                gamma3: frozenset[Formula]):
+        return tuple.__new__(cls, (gamma1, gamma2, gamma3))
+
+    gamma1 = property(itemgetter(0))
+    gamma2 = property(itemgetter(1))
+    gamma3 = property(itemgetter(2))
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # tuple's own would ignore the class
+        return not self == other
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(gamma1={self[0]!r}, "
+                f"gamma2={self[1]!r}, gamma3={self[2]!r})")
 
     @classmethod
     def of(cls, g1: Iterable[Formula] = (), g2: Iterable[Formula] = (),
@@ -76,19 +105,19 @@ class ComponentTriple:
 
     @property
     def components(self) -> tuple[frozenset[Formula], ...]:
-        return (self.gamma1, self.gamma2, self.gamma3)
+        return tuple(self)
 
     def component(self, position: int) -> frozenset[Formula]:
-        return self.components[position - 1]
+        return self[position - 1]
 
     def with_component(self, position: int, formulas: frozenset[Formula]):
-        comps = list(self.components)
+        comps = list(self)
         comps[position - 1] = formulas
         return type(self)(*comps)
 
     def atoms(self) -> tuple[str, ...]:
         names: set[str] = set()
-        for comp in self.components:
+        for comp in self:
             for f in comp:
                 names.update(atoms(f))
         return tuple(sorted(names))
@@ -96,6 +125,8 @@ class ComponentTriple:
 
 class Sequent3(ComponentTriple):
     """Components claim value f, u, t respectively; true when one claim holds."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +165,10 @@ def generate_rules(conn: str, position: int) -> tuple[PremiseTemplate, ...]:
     return tuple(sorted(tuple(sorted(c)) for c in minimal))
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
+    """One application of a generated rule: ``name`` is ``conn:position``,
+    and ``premises`` come in template order."""
+
     name: str
     principal: Formula
     position: int
@@ -144,11 +177,13 @@ class RuleInstance:
 
 
 @cache
-def _rule_inserts(conn: str, position: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The templates of ``generate_rules(conn, position)`` as (component
-    index, argument index) pairs, in template order."""
-    return tuple(tuple((v.rank, j) for j, v in template)
-                 for template in generate_rules(conn, position))
+def _rule(conn: str, position: int) -> tuple[str, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The name of the rule for ``conn`` at ``position``, and the templates
+    of ``generate_rules(conn, position)`` as (component index, argument
+    index) pairs, in template order."""
+    inserts = tuple(tuple((v.rank, j) for j, v in template)
+                    for template in generate_rules(conn, position))
+    return f"{conn}:{position}", inserts
 
 
 def instantiate(conclusion: Sequent3, principal: Formula, position: int) -> RuleInstance:
@@ -156,17 +191,18 @@ def instantiate(conclusion: Sequent3, principal: Formula, position: int) -> Rule
     conn = connective(principal)
     if conn is None:
         raise ValueError("cannot decompose an atom")
+    name, templates = _rule(conn, position)
     args = children(principal)
-    base = list(conclusion.components)
+    base = list(conclusion)
     base[position - 1] = base[position - 1] - {principal}
     make = type(conclusion)
     premises = []
-    for inserts in _rule_inserts(conn, position):
+    for inserts in templates:
         comps = base.copy()
         for k, j in inserts:
             comps[k] = comps[k] | {args[j]}
-        premises.append(make(*comps))
-    return RuleInstance(f"{conn}:{position}", principal, position, tuple(premises), conclusion)
+        premises.append(tuple.__new__(make, comps))  # make(*comps) without a Python call
+    return RuleInstance(name, principal, position, tuple(premises), conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +218,7 @@ def is_axiom(s: Sequent3) -> bool:
 def select_principal(s: ComponentTriple) -> tuple[Formula, int] | None:
     """Canonically least non-atomic formula and its least position, or None."""
     best = None
-    for position, comp in enumerate(s.components, 1):
+    for position, comp in enumerate(s, 1):
         for f in comp:
             if isinstance(f, Atom):
                 continue
@@ -214,34 +250,37 @@ def prove(s: Sequent3) -> ProofTree | ProofFailure:
 
     Returns a checkable tree, or the atomic leaf witnessing invalidity; rule
     invertibility makes the principal choice irrelevant, so there is no
-    backtracking and the same input always yields the same tree.
+    backtracking and the same input always yields the same tree.  Equal
+    sequents within one search share one subtree.  The memo that shares
+    them is the call's own and is freed when the call returns: the search
+    builds no reference cycle.
     """
-    memo: dict[Sequent3, ProofTree | ProofFailure] = {}
+    return _search(s, {})
 
-    def go(s: Sequent3) -> ProofTree | ProofFailure:
-        hit = memo.get(s)
-        if hit is not None:
-            return hit
-        if is_axiom(s):
-            result: ProofTree | ProofFailure = ProofTree(s, "axiom")
+
+def _search(s: Sequent3, memo: dict[Sequent3, ProofTree | ProofFailure]
+            ) -> ProofTree | ProofFailure:
+    hit = memo.get(s)
+    if hit is not None:
+        return hit
+    if is_axiom(s):
+        result: ProofTree | ProofFailure = ProofTree(s, "axiom")
+    else:
+        selected = select_principal(s)
+        if selected is None:
+            result = ProofFailure(s)
         else:
-            selected = select_principal(s)
-            if selected is None:
-                result = ProofFailure(s)
-            else:
-                inst = instantiate(s, *selected)
-                subproofs = []
-                for premise in inst.premises:
-                    sub = go(premise)
-                    if not sub:
-                        memo[s] = sub
-                        return sub
-                    subproofs.append(sub)
-                result = ProofTree(s, inst.name, tuple(subproofs))
-        memo[s] = result
-        return result
-
-    return go(s)
+            inst = instantiate(s, *selected)
+            subproofs = []
+            for premise in inst.premises:
+                sub = _search(premise, memo)
+                if not sub:
+                    memo[s] = sub
+                    return sub
+                subproofs.append(sub)
+            result = ProofTree(s, inst.name, tuple(subproofs))
+    memo[s] = result
+    return result
 
 
 def entailment_sequent(premises: Iterable[Formula], goal: Formula) -> Sequent3:
@@ -300,31 +339,31 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
+    return _checked(tree)
 
-    def ok(node: ProofTree) -> bool:
-        ref = _verified.get(id(node))
-        if ref is not None and ref() is node:
-            return True
-        if node.rule == "axiom":
-            good = not node.premises and is_axiom(node.conclusion)
-        else:
-            good = False
-            conn, sep, pos_text = node.rule.partition(":")
-            if sep and conn in ARITY and pos_text in {"1", "2", "3"} and node.premises:
-                position = int(pos_text)
-                lost = (node.conclusion.component(position)
-                        - node.premises[0].conclusion.component(position))
-                if len(lost) == 1:
-                    (f,) = lost
-                    good = (connective(f) == conn
-                            and instantiate(node.conclusion, f, position).premises
-                            == tuple(p.conclusion for p in node.premises)
-                            and all(ok(p) for p in node.premises))
-        if good:
-            _verified[id(node)] = weakref.KeyedRef(node, _forget, id(node))
-        return good
 
-    return ok(tree)
+def _checked(node: ProofTree) -> bool:
+    ref = _verified.get(id(node))
+    if ref is not None and ref() is node:
+        return True
+    if node.rule == "axiom":
+        good = not node.premises and is_axiom(node.conclusion)
+    else:
+        good = False
+        conn, sep, pos_text = node.rule.partition(":")
+        if sep and conn in ARITY and pos_text in {"1", "2", "3"} and node.premises:
+            position = int(pos_text)
+            lost = (node.conclusion.component(position)
+                    - node.premises[0].conclusion.component(position))
+            if len(lost) == 1:
+                (f,) = lost
+                good = (connective(f) == conn
+                        and instantiate(node.conclusion, f, position).premises
+                        == tuple(p.conclusion for p in node.premises)
+                        and all(_checked(p) for p in node.premises))
+    if good:
+        _verified[id(node)] = weakref.KeyedRef(node, _forget, id(node))
+    return good
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +463,15 @@ def _node_fields(doc, kind: str) -> tuple[str, str, list]:
 def proof_to_doc(tree: ProofTree) -> dict:
     """A shared subtree is written out per occurrence, each time as dicts of
     its own, but each distinct node's sequent is printed once."""
-    texts: dict[int, str] = {}
+    return _write_proof(tree, {})
 
-    def write(node: ProofTree) -> dict:
-        if id(node) not in texts:
-            texts[id(node)] = print_sequent(node.conclusion)
-        return {"rule": node.rule, "sequent": texts[id(node)],
-                "premises": [write(p) for p in node.premises]}
 
-    return write(tree)
+def _write_proof(node: ProofTree, texts: dict[int, str]) -> dict:
+    text = texts.get(id(node))
+    if text is None:
+        text = texts[id(node)] = print_sequent(node.conclusion)
+    return {"rule": node.rule, "sequent": text,
+            "premises": [_write_proof(p, texts) for p in node.premises]}
 
 
 def proof_from_doc(doc) -> ProofTree:

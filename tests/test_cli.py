@@ -81,6 +81,28 @@ class TestProveRefute:
         assert code == 0
         assert out.splitlines()[0] == "axiom: [p ; p ; p]"
 
+    def test_prove_prints_each_distinct_sequent_once(self, capsys, monkeypatch):
+        import luk3.cli
+
+        printed = []
+        real = luk3.cli.print_sequent
+        monkeypatch.setattr(luk3.cli, "print_sequent", lambda s: printed.append(s) or real(s))
+        code, out, _ = run(capsys, "prove", "[ ; ; p -> p | p]")
+        assert code == 0
+        assert out == (
+            "->:3: [ ;  ; p -> p | p]\n"
+            "  |:3: [p ; p ; p | p]\n"
+            "    axiom: [p ; p ; p]\n"
+            "  |:2: [p ; p | p ; p | p]\n"
+            "    |:3: [p ; p ; p | p]\n"
+            "      axiom: [p ; p ; p]\n"
+            "    |:3: [p ; p ; p | p]\n"
+            "      axiom: [p ; p ; p]\n"
+            "    |:3: [p ; p ; p | p]\n"
+            "      axiom: [p ; p ; p]\n")
+        # ten lines, but the proof has four distinct nodes
+        assert len(printed) == len(set(printed)) == 4
+
     def test_prove_failure_prints_counter(self, capsys):
         code, out, _ = run(capsys, "prove", "[ ; ; p | ~p]")
         assert (code, out) == (1, "p=u\n")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import gc
 import json
+import pickle
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -9,10 +12,12 @@ import pytest
 import luk3.sequent
 from conftest import context_variants, sampled_principals
 from mutation import proof_mutants
+from luk3.antisequent import AntiSequent3
 from luk3.semantics import VALUES, enumerate_interpretations, tt_sequent_true, tt_sequent_valid
 from luk3.sequent import (
     ProofFailure,
     ProofTree,
+    RuleInstance,
     Sequent3,
     check_proof,
     entailment_sequent,
@@ -103,6 +108,72 @@ def test_rules_are_invertible(conn, position):
                 assert conclusion_true == premises_true
 
 
+@pytest.mark.parametrize("cls", [Sequent3, AntiSequent3])
+class TestSequentValue:
+    """Sequents and anti-sequents are immutable values, equal per class."""
+
+    COMPS = (frozenset({P}), frozenset(), frozenset({Not(P)}))
+
+    def test_equality_is_per_class(self, cls):
+        s = cls(*self.COMPS)
+        other = AntiSequent3 if cls is Sequent3 else Sequent3
+        assert s == cls(*self.COMPS) and not s != cls(*self.COMPS)
+        assert s != other(*self.COMPS) and not s == other(*self.COMPS)
+        assert s != self.COMPS and self.COMPS != s and not s == self.COMPS
+
+    def test_hash_is_that_of_the_components(self, cls):
+        s = cls(*self.COMPS)
+        assert hash(s) == hash((s.gamma1, s.gamma2, s.gamma3))
+
+    def test_repr(self, cls):
+        assert repr(cls(*self.COMPS)) == (
+            f"{cls.__name__}(gamma1=frozenset({{Atom(name='p')}}), gamma2=frozenset(), "
+            "gamma3=frozenset({Not(arg=Atom(name='p'))}))")
+
+    def test_immutable(self, cls):
+        s = cls(*self.COMPS)
+        with pytest.raises(AttributeError):
+            s.gamma1 = frozenset()
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        assert s == cls(*self.COMPS)
+
+    def test_copies_round_trip(self, cls):
+        s = cls(*self.COMPS)
+        clones = [copy.copy(s), copy.deepcopy(s)]
+        clones += [pickle.loads(pickle.dumps(s, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones:
+            assert type(clone) is cls and clone == s
+
+    def test_components(self, cls):
+        s = cls.of((P,), (), (Not(P),))
+        assert s == cls(*self.COMPS)
+        assert type(s.components) is tuple and s.components == self.COMPS
+        assert s.component(3) == frozenset({Not(P)})
+        t = s.with_component(2, frozenset({Q}))
+        assert type(t) is cls and t.components == (self.COMPS[0], frozenset({Q}), self.COMPS[2])
+        assert s.atoms() == ("p",)
+
+
+class TestRuleInstance:
+    def test_fields_in_order(self):
+        s = parse_sequent("[ ; ; p & q]")
+        f = parse_formula("p & q")
+        premises = (parse_sequent("[ ; ; p]"), parse_sequent("[ ; ; q]"))
+        inst = instantiate(s, f, 3)
+        assert inst == RuleInstance("&:3", f, 3, premises, s)
+        assert (inst.name, inst.principal, inst.position, inst.premises, inst.conclusion) == (
+            "&:3", f, 3, premises, s)
+
+    def test_checker_rejects_permuted_premises(self):
+        s = parse_sequent("[p, q ; p, q ; p & q]")
+        tree = prove(s)
+        assert len(set(p.conclusion for p in tree.premises)) == 2
+        assert check_proof(tree, s)
+        assert not check_proof(replace(tree, premises=tree.premises[::-1]), s)
+
+
 class TestIsAxiom:
     def test_shared_atom(self):
         assert is_axiom(Sequent3.of((P,), (P,), (P,)))
@@ -187,8 +258,6 @@ class TestChecker:
 
     def test_rejects_renamed_rule(self):
         result = prove(parse_sequent("[ ; ; p -> p]"))
-        from dataclasses import replace
-
         assert not check_proof(replace(result, rule="&:3"))
         assert not check_proof(replace(result, rule="axiom"))
 
@@ -427,6 +496,21 @@ class TestDocSharing:
         try:
             assert proof_from_doc(doc)
             assert gc.collect() == 0  # the per-document tables go with the call
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("call", ["prove", "check_proof", "proof_to_doc"])
+    def test_calls_leave_no_cycle(self, call):
+        s = parse_sequent("[ ; ; p -> p | p]")
+        tree = prove(s)
+        run = {"prove": lambda: prove(s),
+               "check_proof": lambda: check_proof(tree, s),  # a tree not checked before
+               "proof_to_doc": lambda: proof_to_doc(tree)}[call]
+        gc.collect()
+        gc.disable()
+        try:
+            assert run()
+            assert gc.collect() == 0  # the per-call tables go with the call
         finally:
             gc.enable()
 
