@@ -14,14 +14,15 @@ decided by ``prove`` on the matching sequent, and when that fails its
 countermodel falsifies every node of the chain, so committing each principal
 to its arguments' values under the countermodel always leads to an
 anti-axiom.  ``check_refutation`` replays the chain without that model.
+``RefutationTree`` and ``RefutationFailure`` are immutable named tuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from .semantics import (
     VALUES,
@@ -121,16 +122,18 @@ def is_antiaxiom(a: AntiSequent3) -> Interpretation | None:
     return atomic_countermodel(a.components)
 
 
-@dataclass(frozen=True)
-class RefutationTree:
+class RefutationTree(NamedTuple):
+    """A refutation step: its conclusion, the anti-rule applied
+    (``conn:position@values``, or ``anti-axiom`` at the leaf), the premise,
+    and at the leaf the witness interpretation."""
+
     conclusion: AntiSequent3
     rule: str
     premise: "RefutationTree | None" = None
     witness: Interpretation | None = None
 
 
-@dataclass(frozen=True)
-class RefutationFailure:
+class RefutationFailure(NamedTuple):
     """No refutation exists: the matching sequent is valid."""
 
     root: AntiSequent3

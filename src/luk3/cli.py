@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .antisequent import (
     RefutationTree,
@@ -47,6 +48,7 @@ from .sequent import (
     prove,
 )
 from .syntax import (
+    DuplicateWarning,
     ParseError,
     parse_formula,
     parse_formula_list,
@@ -100,8 +102,16 @@ def _interp_doc(interp: Interpretation) -> dict:
 
 
 def _read_theory(path: str):
+    """The theory in ``path``; each dropped duplicate line is reported on
+    stderr as one ``warning:`` line."""
     with open(path, encoding="utf-8") as fh:
-        return parse_theory(fh.read())
+        text = fh.read()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DuplicateWarning)
+        theory = parse_theory(text)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return theory
 
 
 # ---------------------------------------------------------------------------

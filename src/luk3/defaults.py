@@ -14,13 +14,13 @@ contain a goal?) check each.
 Both produce certificates made of sequent proofs and anti-sequent
 refutations that an independent checker replays without rerunning any
 search; a brave certificate chooses each block reason from the final basis.
+Queries, results and certificate parts are immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .antisequent import AntiSequent3, RefutationTree, check_refutation, refutation_from_doc, refutation_from_failure, refutation_to_doc
 from .semantics import tt_entails
@@ -88,8 +88,7 @@ class SearchLimitError(RuntimeError):
     """The candidate sweep of a query exceeds its state budget."""
 
 
-@dataclass(frozen=True)
-class ExtensionBasis:
+class ExtensionBasis(NamedTuple):
     """Finite basis (facts plus M-consequents of fired defaults) standing for
     its deductive closure; membership is decided by entailment, never by
     listing."""
@@ -171,8 +170,7 @@ def candidate_basis(theory: DefaultTheory, subset: Iterable[Default]) -> frozens
     return frozenset(theory.facts) | {Poss(d.consequent) for d in subset}
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
     """One line of the enumeration transcript."""
 
     rank: int
@@ -220,8 +218,7 @@ def extensions(theory: DefaultTheory) -> tuple[ExtensionBasis, ...]:
 # Queries and constraints
 
 
-@dataclass(frozen=True)
-class BraveSequent:
+class BraveSequent(NamedTuple):
     """Gamma; Delta |- Sigma; Theta: true when some extension of the theory
     (Gamma, Delta) contains every Sigma formula and no Theta formula."""
 
@@ -231,16 +228,14 @@ class BraveSequent:
     theta: frozenset[Formula]
 
 
-@dataclass(frozen=True)
-class SignedConstraint:
+class SignedConstraint(NamedTuple):
     """Membership constraint on extensions: +f requires f, -f forbids it."""
 
     positive: bool
     formula: Formula
 
 
-@dataclass(frozen=True)
-class SkepticalSequent:
+class SkepticalSequent(NamedTuple):
     """Sigma; Gamma; Delta |- Theta: true when every extension of the theory
     (Gamma, Delta) satisfying the constraints Sigma contains at least one
     Theta formula."""
@@ -298,8 +293,7 @@ BLOCKED_JUST = "blocked-justification"
 BLOCKED_CERT = "blocked-consequent-certainty"
 
 
-@dataclass(frozen=True)
-class Disposition:
+class Disposition(NamedTuple):
     """How a brave certificate settles one default."""
 
     default: Default
@@ -308,8 +302,7 @@ class Disposition:
     groundedness: ProofTree | None = None  # prerequisite proof, fired only
 
 
-@dataclass(frozen=True)
-class BraveProof:
+class BraveProof(NamedTuple):
     query: BraveSequent
     steps: tuple[Disposition, ...]
     final_basis: frozenset[Formula]
@@ -317,8 +310,7 @@ class BraveProof:
     theta_refutations: tuple[tuple[Formula, RefutationTree], ...]
 
 
-@dataclass(frozen=True)
-class BraveFailure:
+class BraveFailure(NamedTuple):
     query: BraveSequent
     states: int
 
@@ -374,8 +366,7 @@ def _brave_certificate(query: BraveSequent, e: ExtensionBasis) -> BraveProof:
 # Skeptical decision
 
 
-@dataclass(frozen=True)
-class ConstraintEvidence:
+class ConstraintEvidence(NamedTuple):
     """Entailment or non-entailment evidence for one constraint against one
     extension; exactly one of proof/refutation is present."""
 
@@ -385,8 +376,7 @@ class ConstraintEvidence:
     refutation: RefutationTree | None = None
 
 
-@dataclass(frozen=True)
-class ExtensionVerdict:
+class ExtensionVerdict(NamedTuple):
     extension: ExtensionBasis
     fired_indices: tuple[int, ...]
     evidence: tuple[ConstraintEvidence, ...]
@@ -395,15 +385,13 @@ class ExtensionVerdict:
     goal_proof: ProofTree | None = None
 
 
-@dataclass(frozen=True)
-class SkepticalProof:
+class SkepticalProof(NamedTuple):
     query: SkepticalSequent
     transcript: tuple[CandidateRecord, ...]
     verdicts: tuple[ExtensionVerdict, ...]
 
 
-@dataclass(frozen=True)
-class SkepticalFailure:
+class SkepticalFailure(NamedTuple):
     query: SkepticalSequent
     counterexample: ExtensionBasis | None
 

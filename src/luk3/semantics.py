@@ -9,20 +9,25 @@ means: every interpretation making all premises t makes the goal t.
 
 Everything here works by exhaustive enumeration of interpretations and serves
 as ground truth for the sequent and anti-sequent calculi.
+
+``Verdict`` is an immutable named tuple; ``Interpretation`` is an immutable
+slotted record that keeps a lookup table beside its sorted assignment.
+``fractions`` is imported only when ``TruthValue.num`` is first read, so
+importing the package does not pay for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import total_ordering
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .syntax import And, Atom, Cert, Formula, Impl, Not, Or, Poss, atoms
 
 if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
+
     from .sequent import Sequent3
 
 __all__ = [
@@ -68,6 +73,7 @@ class TruthValue(Enum):
     @property
     def num(self) -> Fraction:
         """Exact numeric view: f = 0, u = 1/2, t = 1."""
+        from fractions import Fraction  # imported on first use: it pulls in decimal
         return Fraction(self.value, 2)
 
     @property
@@ -119,19 +125,43 @@ def apply_connective(conn: str, args: tuple[TruthValue, ...]) -> TruthValue:
     return _TABLES[conn](*args)
 
 
-@dataclass(frozen=True)
 class Interpretation:
-    """Total map from a finite atom set to truth values."""
+    """Total map from a finite atom set to truth values.
 
-    assignment: tuple[tuple[str, TruthValue], ...]
+    An immutable record of one field, ``assignment``, sorted by atom name;
+    it compares and hashes as that field, and keeps a lookup table beside it.
+    """
 
-    def __post_init__(self):
-        pairs = tuple(sorted(self.assignment))
-        names = [name for name, _ in pairs]
-        if len(set(names)) != len(names):
+    __slots__ = ("assignment", "_table")
+    __match_args__ = ("assignment",)
+
+    def __init__(self, assignment: tuple[tuple[str, TruthValue], ...]):
+        pairs = tuple(sorted(assignment))
+        table = dict(pairs)
+        if len(table) != len(pairs):
             raise ValueError("duplicate atom in interpretation")
-        object.__setattr__(self, "assignment", pairs)
-        object.__setattr__(self, "_table", dict(pairs))
+        _set_assignment(self, pairs)
+        _set_table(self, table)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.assignment == other.assignment
+
+    def __hash__(self) -> int:
+        return hash((self.assignment,))
+
+    def __repr__(self) -> str:
+        return f"Interpretation(assignment={self.assignment!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.assignment,)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, "TruthValue | str"]) -> "Interpretation":
@@ -164,7 +194,7 @@ class Interpretation:
 
     def value(self, atom: str) -> TruthValue:
         try:
-            return self._table[atom]  # type: ignore[attr-defined]
+            return self._table[atom]
         except KeyError:
             raise UndeclaredAtomError(atom) from None
 
@@ -174,6 +204,10 @@ class Interpretation:
 
     def as_dict(self) -> dict[str, TruthValue]:
         return dict(self.assignment)
+
+
+_set_assignment = Interpretation.assignment.__set__
+_set_table = Interpretation._table.__set__
 
 
 def evaluate(f: Formula, interp: Interpretation) -> TruthValue:
@@ -207,8 +241,7 @@ def enumerate_interpretations(atom_names: Iterable[str]) -> Iterator[Interpretat
         yield Interpretation(tuple(zip(names, combo)))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Yes/no answer of a brute-force check, with the first counterexample."""
 
     holds: bool

@@ -13,12 +13,16 @@ every literal of the clause.  Every generated rule is invertible (the
 conclusion is true under an interpretation iff all premises are), so backward
 search needs no backtracking, and reaching a non-axiomatic atomic sequent
 refutes the root definitively.
+
+Sequents are tuples of their three components.  ``ProofFailure`` and
+``RuleInstance`` are immutable named tuples; ``ProofTree`` is an immutable
+slotted class with the same value semantics, because ``check_proof``
+remembers checked nodes through weak references, which tuples do not take.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import itemgetter
@@ -228,15 +232,53 @@ def select_principal(s: ComponentTriple) -> tuple[Formula, int] | None:
     return best
 
 
-@dataclass(frozen=True)
 class ProofTree:
-    conclusion: Sequent3
-    rule: str
-    premises: tuple["ProofTree", ...] = ()
+    """A proof node: its conclusion, the rule that closes it (``axiom`` or
+    ``conn:position``) and the subproofs of the rule's premises.
+
+    An immutable record that compares and hashes as its field tuple.  It is
+    a slotted class, not a tuple, so that ``check_proof`` can refer to
+    checked nodes weakly.
+    """
+
+    __slots__ = ("conclusion", "rule", "premises", "__weakref__")
+    __match_args__ = ("conclusion", "rule", "premises")
+
+    def __init__(self, conclusion: Sequent3, rule: str,
+                 premises: tuple["ProofTree", ...] = ()):
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_premises(self, premises)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.conclusion, self.rule, self.premises)
+                == (other.conclusion, other.rule, other.premises))
+
+    def __hash__(self) -> int:
+        return hash((self.conclusion, self.rule, self.premises))
+
+    def __repr__(self) -> str:
+        return (f"ProofTree(conclusion={self.conclusion!r}, rule={self.rule!r}, "
+                f"premises={self.premises!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.conclusion, self.rule, self.premises)
 
 
-@dataclass(frozen=True)
-class ProofFailure:
+_set_conclusion = ProofTree.conclusion.__set__
+_set_rule = ProofTree.rule.__set__
+_set_premises = ProofTree.premises.__set__
+
+
+class ProofFailure(NamedTuple):
     """Search bottomed out at this unprovable atomic sequent."""
 
     leaf: Sequent3

@@ -22,12 +22,15 @@ Theory files (``.dl3``) are line-oriented UTF-8::
     default: <prereq> : <just> ("," <just>)* / <consequent>.
 
 Parsing a theory preserves the order of defaults as written; a duplicate fact
-or default raises :class:`DuplicateWarning` and the duplicate is dropped.
+or default raises :class:`DuplicateWarning`, naming its line, and the
+duplicate is dropped.
 
 Formula nodes are hash-consed: every constructor looks the node up in a weak
 table, so equal live formulas are one object, and set and dict lookups
 succeed on identity.  Each node stores its hash and its sort key, so neither
-depends on the formula's size.
+depends on the formula's size.  ``Default`` and ``DefaultTheory`` are
+immutable named tuples that validate their fields on construction and in
+``_replace``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import re
 import warnings
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, NamedTuple, NoReturn
 
 __all__ = [
@@ -120,9 +122,11 @@ class Formula:
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # only on this error path
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __copy__(self):
@@ -272,29 +276,46 @@ def atoms(f: Formula) -> tuple[str, ...]:
 # Defaults and theories
 
 
-@dataclass(frozen=True)
-class Default:
-    """Inference rule ``prereq : just1, ..., justn / consequent`` with n >= 1."""
-
+class _DefaultFields(NamedTuple):
     prereq: Formula
     justifications: tuple[Formula, ...]
     consequent: Formula
 
-    def __post_init__(self):
-        if not self.justifications:
+
+class Default(_DefaultFields):
+    """Inference rule ``prereq : just1, ..., justn / consequent`` with n >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, prereq: Formula, justifications: tuple[Formula, ...],
+                consequent: Formula):
+        if not justifications:
             raise ValueError("a default needs at least one justification")
+        return tuple.__new__(cls, (prereq, justifications, consequent))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DefaultTheory:
-    """Facts plus an ordered, duplicate-free list of defaults."""
-
+class _TheoryFields(NamedTuple):
     facts: frozenset[Formula]
     defaults: tuple[Default, ...]
 
-    def __post_init__(self):
-        if len(set(self.defaults)) != len(self.defaults):
+
+class DefaultTheory(_TheoryFields):
+    """Facts plus an ordered, duplicate-free list of defaults."""
+
+    __slots__ = ()
+
+    def __new__(cls, facts: frozenset[Formula], defaults: tuple[Default, ...]):
+        if len(set(defaults)) != len(defaults):
             raise ValueError("duplicate default in theory")
+        return tuple.__new__(cls, (facts, defaults))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +522,7 @@ def parse_theory(text: str) -> DefaultTheory:
             p.expect(".")
             p.expect_end()
             if f in facts:
-                warnings.warn(f"duplicate fact {print_formula(f)!r} dropped",
+                warnings.warn(f"duplicate fact {print_formula(f)!r} dropped at line {lineno}",
                               DuplicateWarning, stacklevel=2)
             else:
                 facts.append(f)
@@ -511,7 +532,7 @@ def parse_theory(text: str) -> DefaultTheory:
             p.expect(".")
             p.expect_end()
             if d in defaults:
-                warnings.warn(f"duplicate default {print_default(d)!r} dropped",
+                warnings.warn(f"duplicate default {print_default(d)!r} dropped at line {lineno}",
                               DuplicateWarning, stacklevel=2)
             else:
                 defaults.append(d)

@@ -3,7 +3,6 @@ way the independent checkers are required to reject."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterator
 
 from luk3.antisequent import RefutationTree
@@ -29,23 +28,24 @@ def proof_mutants(tree: ProofTree) -> Iterator[ProofTree]:
     seen: set[int] = set()
 
     def walk(node: ProofTree, descend: bool) -> Iterator[ProofTree]:
-        yield replace(node, conclusion=_bump(node.conclusion))
+        yield ProofTree(_bump(node.conclusion), node.rule, node.premises)
         if not descend:
             return
         for i, p in enumerate(node.premises):
             first = id(p) not in seen
             seen.add(id(p))
             for m in walk(p, first):
-                yield replace(node, premises=node.premises[:i] + (m,) + node.premises[i + 1:])
+                yield ProofTree(node.conclusion, node.rule,
+                                node.premises[:i] + (m,) + node.premises[i + 1:])
 
     yield from walk(tree, True)
 
 
 def refutation_mutants(tree: RefutationTree) -> Iterator[RefutationTree]:
-    yield replace(tree, conclusion=_bump(tree.conclusion))
+    yield tree._replace(conclusion=_bump(tree.conclusion))
     if tree.premise is not None:
         for m in refutation_mutants(tree.premise):
-            yield replace(tree, premise=m)
+            yield tree._replace(premise=m)
 
 
 def brave_mutants(proof: BraveProof) -> Iterator[BraveProof]:
@@ -54,53 +54,55 @@ def brave_mutants(proof: BraveProof) -> Iterator[BraveProof]:
         flipped = Disposition(step.default, flipped_kind,
                               justification_index=None,
                               groundedness=step.groundedness)
-        yield replace(proof, steps=proof.steps[:i] + (flipped,) + proof.steps[i + 1:])
-        yield replace(proof, steps=proof.steps[:i] + proof.steps[i + 1:])  # dropped step
+        yield proof._replace(steps=proof.steps[:i] + (flipped,) + proof.steps[i + 1:])
+        yield proof._replace(steps=proof.steps[:i] + proof.steps[i + 1:])  # dropped step
         if step.groundedness is not None:
             for m in proof_mutants(step.groundedness):
-                mutated = replace(step, groundedness=m)
-                yield replace(proof, steps=proof.steps[:i] + (mutated,) + proof.steps[i + 1:])
-    yield replace(proof, final_basis=proof.final_basis | {_MUT})
+                mutated = step._replace(groundedness=m)
+                yield proof._replace(steps=proof.steps[:i] + (mutated,) + proof.steps[i + 1:])
+    yield proof._replace(final_basis=proof.final_basis | {_MUT})
     for i, (f, t) in enumerate(proof.sigma_proofs):
-        yield replace(proof, sigma_proofs=proof.sigma_proofs[:i] + ((_MUT, t),)
-                      + proof.sigma_proofs[i + 1:])
+        yield proof._replace(sigma_proofs=proof.sigma_proofs[:i] + ((_MUT, t),)
+                             + proof.sigma_proofs[i + 1:])
         for m in proof_mutants(t):
-            yield replace(proof, sigma_proofs=proof.sigma_proofs[:i] + ((f, m),)
-                          + proof.sigma_proofs[i + 1:])
+            yield proof._replace(sigma_proofs=proof.sigma_proofs[:i] + ((f, m),)
+                                 + proof.sigma_proofs[i + 1:])
     for i, (f, r) in enumerate(proof.theta_refutations):
-        yield replace(proof, theta_refutations=proof.theta_refutations[:i] + ((_MUT, r),)
-                      + proof.theta_refutations[i + 1:])
+        yield proof._replace(theta_refutations=proof.theta_refutations[:i] + ((_MUT, r),)
+                             + proof.theta_refutations[i + 1:])
         for m in refutation_mutants(r):
-            yield replace(proof, theta_refutations=proof.theta_refutations[:i] + ((f, m),)
-                          + proof.theta_refutations[i + 1:])
+            yield proof._replace(theta_refutations=proof.theta_refutations[:i] + ((f, m),)
+                                 + proof.theta_refutations[i + 1:])
 
 
 def skeptical_mutants(proof: SkepticalProof) -> Iterator[SkepticalProof]:
     for i, record in enumerate(proof.transcript):
-        flipped = replace(record, kept=not record.kept)
-        yield replace(proof, transcript=proof.transcript[:i] + (flipped,)
-                      + proof.transcript[i + 1:])
+        flipped = record._replace(kept=not record.kept)
+        yield proof._replace(transcript=proof.transcript[:i] + (flipped,)
+                             + proof.transcript[i + 1:])
     for i, verdict in enumerate(proof.verdicts):
         def swap(v):
-            return replace(proof, verdicts=proof.verdicts[:i] + (v,) + proof.verdicts[i + 1:])
+            return proof._replace(verdicts=proof.verdicts[:i] + (v,) + proof.verdicts[i + 1:])
 
-        bumped = replace(verdict, extension=replace(
-            verdict.extension, basis=verdict.extension.basis | {_MUT}))
+        bumped = verdict._replace(extension=verdict.extension._replace(
+            basis=verdict.extension.basis | {_MUT}))
         yield swap(bumped)
-        yield swap(replace(verdict, satisfies_constraints=not verdict.satisfies_constraints))
+        yield swap(verdict._replace(satisfies_constraints=not verdict.satisfies_constraints))
         for j, ev in enumerate(verdict.evidence):
-            yield swap(replace(verdict, evidence=verdict.evidence[:j]
-                               + (replace(ev, satisfied=not ev.satisfied),)
-                               + verdict.evidence[j + 1:]))
+            yield swap(verdict._replace(evidence=verdict.evidence[:j]
+                                        + (ev._replace(satisfied=not ev.satisfied),)
+                                        + verdict.evidence[j + 1:]))
             if ev.proof is not None:
                 for m in proof_mutants(ev.proof):
-                    yield swap(replace(verdict, evidence=verdict.evidence[:j]
-                                       + (replace(ev, proof=m),) + verdict.evidence[j + 1:]))
+                    yield swap(verdict._replace(evidence=verdict.evidence[:j]
+                                                + (ev._replace(proof=m),)
+                                                + verdict.evidence[j + 1:]))
             if ev.refutation is not None:
                 for m in refutation_mutants(ev.refutation):
-                    yield swap(replace(verdict, evidence=verdict.evidence[:j]
-                                       + (replace(ev, refutation=m),) + verdict.evidence[j + 1:]))
+                    yield swap(verdict._replace(evidence=verdict.evidence[:j]
+                                                + (ev._replace(refutation=m),)
+                                                + verdict.evidence[j + 1:]))
         if verdict.goal is not None:
-            yield swap(replace(verdict, goal=_MUT))
+            yield swap(verdict._replace(goal=_MUT))
             for m in proof_mutants(verdict.goal_proof):
-                yield swap(replace(verdict, goal_proof=m))
+                yield swap(verdict._replace(goal_proof=m))

@@ -239,8 +239,6 @@ class TestChecker:
                 assert not check_refutation(mutant, a)
 
     def test_rejects_tampered_witness_when_forced(self):
-        from dataclasses import replace
-
         a = parse_antisequent("![a, M b ; a, M b ; ~L b]")
         result = refute(a)
         leaf_chain = []
@@ -248,11 +246,10 @@ class TestChecker:
         while node is not None:
             leaf_chain.append(node)
             node = node.premise
-        tampered_leaf = replace(leaf_chain[-1],
-                                witness=Interpretation.of(a=T, b=U))
+        tampered_leaf = leaf_chain[-1]._replace(witness=Interpretation.of(a=T, b=U))
         rebuilt = tampered_leaf
         for node in reversed(leaf_chain[:-1]):
-            rebuilt = replace(node, premise=rebuilt)
+            rebuilt = node._replace(premise=rebuilt)
         assert not check_refutation(rebuilt, a)
 
 

@@ -160,6 +160,23 @@ class TestExtensions:
         assert code == 0
         assert out == "extension 0: ~b [fired: -]\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["extensions"],
+        ["brave", "--in", "M b"],
+        ["skeptical", "--goals", "M b"],
+    ], ids=lambda argv: argv[0])
+    def test_duplicate_lines_warn_once_each(self, capsys, tmp_path, simple_theory, argv):
+        path = tmp_path / "dup.dl3"
+        path.write_text("fact: a.\nfact: a.\ndefault: a : b / b.\nfact: a.\n"
+                        "default: a : b / b.\n", encoding="utf-8")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert err.splitlines() == [
+            "warning: duplicate fact 'a' dropped at line 2",
+            "warning: duplicate fact 'a' dropped at line 4",
+            "warning: duplicate default 'a : b / b' dropped at line 5",
+        ]
+        assert (code, out) == run(capsys, argv[0], simple_theory, *argv[1:])[:2]
+
     def test_zero_extensions_exit_code(self, capsys, tmp_path):
         # firing adds M L b, which forces b = t and so refutes the
         # justification ~b; not firing is no fixed point either

@@ -558,15 +558,12 @@ class TestCertificates:
         (step,) = proof.steps
         assert step.kind == BLOCKED_JUST and step.justification_index == 1
         assert check_brave_proof(proof)
-        from dataclasses import replace
-
-        bad = replace(proof, steps=(replace(step, justification_index=index),))
+        bad = proof._replace(steps=(step._replace(justification_index=index),))
         assert check_brave_proof(bad) is False
 
     def test_checker_rejects_foreign_step(self):
         proof = self._brave_proof()
-        from dataclasses import replace
         from luk3.defaults import Disposition
 
         alien = Disposition(Default(C, (C,), C), BLOCKED_PREREQ)
-        assert not check_brave_proof(replace(proof, steps=proof.steps + (alien,)))
+        assert not check_brave_proof(proof._replace(steps=proof.steps + (alien,)))

@@ -144,12 +144,13 @@ class TestTheoryFiles:
         assert [print_default(d) for d in t.defaults] == ["a : b / b", "b : c / c"]
 
     def test_duplicate_fact_warns_and_dedups(self):
-        with pytest.warns(DuplicateWarning):
+        with pytest.warns(DuplicateWarning, match="^duplicate fact 'a' dropped at line 2$"):
             t = parse_theory("fact: a.\nfact: a.")
         assert t.facts == frozenset({A})
 
     def test_duplicate_default_warns_and_dedups(self):
-        with pytest.warns(DuplicateWarning):
+        with pytest.warns(DuplicateWarning,
+                          match="^duplicate default 'a : b / b' dropped at line 2$"):
             t = parse_theory("default: a : b / b.\ndefault: a : b / b.")
         assert len(t.defaults) == 1
 
