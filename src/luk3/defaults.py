@@ -14,6 +14,10 @@ contain a goal?) check each.
 Both produce certificates made of sequent proofs and anti-sequent
 refutations that an independent checker replays without rerunning any
 search; a brave certificate chooses each block reason from the final basis.
+The operator and the sweep take their entailment test as an argument: the
+engine decides entailment with the sequent calculus, and the skeptical
+checker runs the same sweep with truth-table entailment, so it never calls
+the calculus it audits.
 Queries, results and certificate parts are immutable named tuples.
 """
 
@@ -113,15 +117,19 @@ def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree:
     return refutation_from_failure(AntiSequent3.of(basis, basis, (goal,)), _proof(basis, goal))
 
 
+def _entailed(basis: frozenset[Formula], f: Formula) -> bool:
+    """Entailment by the sequent calculus: the engine's route."""
+    return bool(_proof(basis, f))
+
+
 def member(e: ExtensionBasis, f: Formula) -> bool:
     """Is ``f`` in the closure of ``e``?"""
-    return bool(_proof(e.basis, f))
+    return _entailed(e.basis, f)
 
 
 def closure_equivalent(b1: frozenset[Formula], b2: frozenset[Formula]) -> bool:
     """Mutual entailment of finite bases, i.e. equality of their closures."""
-    return (all(bool(_proof(b2, f)) for f in b1)
-            and all(bool(_proof(b1, f)) for f in b2))
+    return all(_entailed(b2, f) for f in b1) and all(_entailed(b1, f) for f in b2)
 
 
 def _blocking_formulas(d: Default) -> tuple[Formula, ...]:
@@ -129,24 +137,25 @@ def _blocking_formulas(d: Default) -> tuple[Formula, ...]:
     return tuple(Not(b) for b in d.justifications) + (Not(Cert(d.consequent)),)
 
 
-def _consistent(context_basis: frozenset[Formula], d: Default) -> bool:
-    return not any(_proof(context_basis, f) for f in _blocking_formulas(d))
+def _consistent(context_basis: frozenset[Formula], d: Default, entailed) -> bool:
+    return not any(entailed(context_basis, f) for f in _blocking_formulas(d))
 
 
 # ---------------------------------------------------------------------------
 # The firing operator and extensions
 
 
-def gamma(theory: DefaultTheory, context: ExtensionBasis) -> ExtensionBasis:
+def gamma(theory: DefaultTheory, context: ExtensionBasis, entailed=_entailed) -> ExtensionBasis:
     """Least basis closed under firing against the fixed ``context``.
 
     Starting from the facts, each round fires every default whose
-    prerequisite is provable from the basis built so far and whose blocking
+    prerequisite is entailed by the basis built so far and whose blocking
     formulas (~Bi and ~L C) are all non-entailed by the context.
     Converges in at most len(defaults) rounds; the fired defaults are
-    recorded in firing order.
+    recorded in firing order.  ``entailed(basis, f)`` decides entailment;
+    it defaults to the sequent calculus.
     """
-    admissible = [d for d in theory.defaults if _consistent(context.basis, d)]
+    admissible = [d for d in theory.defaults if _consistent(context.basis, d, entailed)]
     basis = set(theory.facts)
     fired: list[Default] = []
     progress = True
@@ -154,7 +163,7 @@ def gamma(theory: DefaultTheory, context: ExtensionBasis) -> ExtensionBasis:
         progress = False
         stage = frozenset(basis)
         for d in admissible:
-            if d not in fired and _proof(stage, d.prereq):
+            if d not in fired and entailed(stage, d.prereq):
                 basis.add(Poss(d.consequent))
                 fired.append(d)
                 progress = True
@@ -178,14 +187,15 @@ class CandidateRecord(NamedTuple):
     kept: bool
 
 
-def _candidates(theory: DefaultTheory) -> Iterator[tuple[CandidateRecord, ExtensionBasis | None]]:
-    """The sweep every query runs: each rank's transcript record, with its
-    extension when the operator reproduces the candidate's fired set, else
-    None.  Closure-equivalent candidates fire the same set, so no two kept
-    ranks share a closure.  Entailment is monotone, so a default whose
-    prerequisite the facts plus every M-consequent do not entail, or that
-    the facts alone block, fires in no candidate: subsets containing it are
-    rejected without the operator.
+def _candidates(theory: DefaultTheory,
+                entailed=_entailed) -> Iterator[tuple[CandidateRecord, ExtensionBasis | None]]:
+    """The sweep every query and the skeptical checker run: each rank's
+    transcript record, with its extension when the operator reproduces the
+    candidate's fired set, else None.  Closure-equivalent candidates fire
+    the same set, so no two kept ranks share a closure.  Entailment is
+    monotone, so a default whose prerequisite the facts plus every
+    M-consequent do not entail, or that the facts alone block, fires in no
+    candidate: subsets containing it are rejected without the operator.
     """
     n = len(theory.defaults)
     if 1 << n > DEFAULT_MAX_STATES:
@@ -193,13 +203,13 @@ def _candidates(theory: DefaultTheory) -> Iterator[tuple[CandidateRecord, Extens
     everything = candidate_basis(theory, theory.defaults)
     facts = frozenset(theory.facts)
     never_fires = sum(1 << i for i, d in enumerate(theory.defaults)
-                      if not _proof(everything, d.prereq) or not _consistent(facts, d))
+                      if not entailed(everything, d.prereq) or not _consistent(facts, d, entailed))
     for rank in range(1 << n):
         indices = tuple(i for i in range(n) if rank >> i & 1)
         ok = False
         if not rank & never_fires:
             subset = tuple(theory.defaults[i] for i in indices)
-            g = gamma(theory, ExtensionBasis(candidate_basis(theory, subset), subset))
+            g = gamma(theory, ExtensionBasis(candidate_basis(theory, subset), subset), entailed)
             ok = set(g.fired) == set(subset)
         yield CandidateRecord(rank, indices, ok), g if ok else None
 
@@ -454,9 +464,14 @@ def check_brave_proof(proof: BraveProof) -> bool:
 
     No search is rerun: groundedness proofs are checked against the replayed
     basis at their step, and the final proof/refutation obligations must
-    cover exactly the accumulated Sigma and Theta.
+    cover exactly the accumulated Sigma and Theta.  A query that repeats a
+    default is rejected, as brave_prove refuses it.
     """
     q = proof.query
+    try:
+        DefaultTheory(q.gamma, q.delta)
+    except ValueError:
+        return False
     remaining = list(q.delta)
     basis = frozenset(q.gamma)
     sigma = set(q.sigma)
@@ -507,62 +522,34 @@ def check_brave_proof(proof: BraveProof) -> bool:
 
 @cache
 def _sem_entailed(basis: frozenset[Formula], f: Formula) -> bool:
+    """Entailment by truth tables: the skeptical checker's route."""
     return bool(tt_entails(basis, f))
-
-
-@cache
-def _semantic_candidates(theory: DefaultTheory) -> tuple[tuple[int, tuple[int, ...], bool, frozenset[Formula]], ...]:
-    """Candidate sweep with truth-table entailment instead of proof search;
-    used only to audit skeptical certificates."""
-    out = []
-    n = len(theory.defaults)
-    for rank in range(1 << n):
-        indices = tuple(i for i in range(n) if rank >> i & 1)
-        subset = tuple(theory.defaults[i] for i in indices)
-        cbasis = candidate_basis(theory, subset)
-        out.append((rank, indices, _semantic_fired(theory, cbasis) == set(subset), cbasis))
-    return tuple(out)
-
-
-def _semantic_fired(theory: DefaultTheory, context_basis: frozenset[Formula]) -> set[Default]:
-    admissible = [d for d in theory.defaults
-                  if not any(_sem_entailed(context_basis, f) for f in _blocking_formulas(d))]
-    basis = set(theory.facts)
-    fired: list[Default] = []
-    progress = True
-    while progress:
-        progress = False
-        stage = frozenset(basis)
-        for d in admissible:
-            if d not in fired and _sem_entailed(stage, d.prereq):
-                basis.add(Poss(d.consequent))
-                fired.append(d)
-                progress = True
-    return set(fired)
 
 
 def check_skeptical_proof(proof: SkepticalProof) -> bool:
     """Audit a skeptical certificate against the semantics.
 
-    The extension set is recomputed by truth tables (no proof search), the
-    transcript and verdict list must match it, every piece of constraint
-    evidence must be a valid proof or refutation of the right conclusion, and
-    each satisfying extension must carry a valid goal proof.
+    The checker runs the engine's candidate sweep with truth-table
+    entailment (no proof search): every transcript record must equal the
+    sweep's, the verdict list must match its extensions, every piece of
+    constraint evidence must be a valid proof or refutation of the right
+    conclusion, and each satisfying extension must carry a valid goal proof.
+    Raises SearchLimitError, as the engine does, when the 2^n candidates
+    exceed DEFAULT_MAX_STATES.
     """
     q = proof.query
     try:
         theory = DefaultTheory(q.gamma, q.delta)
     except ValueError:
         return False
-    expected = _semantic_candidates(theory)
-    if len(proof.transcript) != len(expected):
+    if len(proof.transcript) != 1 << len(q.delta):
         return False
     kept_bases = []
-    for record, (rank, indices, kept, cbasis) in zip(proof.transcript, expected):
-        if record.rank != rank or record.fired_indices != indices or record.kept != kept:
+    for record, (expected, e) in zip(proof.transcript, _candidates(theory, _sem_entailed)):
+        if record != expected:
             return False
-        if kept:
-            kept_bases.append((indices, cbasis))
+        if e is not None:
+            kept_bases.append((record.fired_indices, e.basis))
     if len(proof.verdicts) != len(kept_bases):
         return False
     expected_constraints = tuple(sorted(q.sigma, key=_constraint_key))

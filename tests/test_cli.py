@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import luk3
 
 from luk3.cli import format_certificate, main
 from luk3.defaults import brave_proof_from_doc, check_brave_proof, skeptical_proof_from_doc, check_skeptical_proof
@@ -304,3 +309,30 @@ def test_format_certificate_rejects_mutants():
     mutant = next(proof_mutants(tree))
     with pytest.raises(ValueError):
         format_certificate(mutant)
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "[p, q, r ; p, q ; (p & q) | M r]", "--proof", "{cert}"],
+    ["refute", "![p, q ; p ; q & r | ~p]", "--proof", "{cert}"],
+    ["brave", "{theory}", "--in", "M b, M e", "--out", "b", "--proof", "{cert}"],
+    ["skeptical", "{theory}", "--constraints", "+a, -b", "--goals", "M b | M ~b, M f",
+     "--proof", "{cert}"],
+    ["extensions", "--json", "{theory}"],
+], ids=lambda argv: argv[0])
+def test_output_is_byte_stable_across_hash_seeds(tmp_path, argv):
+    theory = tmp_path / "t.dl3"
+    theory.write_text("fact: a.\nfact: c.\nfact: ~d.\ndefault: a : b / b.\n"
+                      "default: a : ~b / ~b.\ndefault: c : e, ~d / e.\n"
+                      "default: M b : f / f.\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(luk3.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "12345"):
+        cert = tmp_path / f"cert-{seed}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "luk3.cli"]
+            + [a.format(theory=theory, cert=cert) for a in argv],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+        assert done.returncode == 0, done.stderr
+        outputs.append((done.stdout, cert.read_bytes() if "--proof" in argv else b""))
+    assert outputs[0] == outputs[1]

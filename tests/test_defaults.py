@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import luk3.defaults
 import oracles
 from mutation import brave_mutants, skeptical_mutants
 from conftest import query_pool
@@ -17,6 +18,7 @@ from luk3.defaults import (
     BraveFailure,
     BraveProof,
     BraveSequent,
+    Disposition,
     ExtensionBasis,
     SearchLimitError,
     SignedConstraint,
@@ -54,6 +56,7 @@ from luk3.syntax import (
     parse_formula,
     parse_theory,
 )
+from luk3.sequent import entailment_sequent, prove
 
 A, B, C, Z = Atom("a"), Atom("b"), Atom("c"), Atom("z")
 MB = Poss(B)
@@ -251,6 +254,19 @@ class TestBrave:
         with pytest.raises(ValueError):
             brave_prove(q)
 
+    def test_checker_rejects_repeated_default(self):
+        # a certificate for a : b / b that fires the default twice
+        proof = brave_prove(BraveSequent(T_SIMPLE.facts, T_SIMPLE.defaults,
+                                         frozenset({MB}), frozenset()))
+        (d,) = T_SIMPLE.defaults
+        again = Disposition(d, FIRED, groundedness=prove(entailment_sequent(proof.final_basis, A)))
+        twice = proof._replace(query=proof.query._replace(delta=(d, d)),
+                               steps=proof.steps + (again,))
+        assert check_brave_proof(proof)
+        assert not check_brave_proof(twice)
+        assert not check_brave_proof(brave_proof_from_doc(json.loads(json.dumps(
+            brave_proof_to_doc(twice)))))
+
     def test_deterministic(self):
         q = BraveSequent(T_FORK.facts, T_FORK.defaults, frozenset({MB}), frozenset())
         assert brave_prove(q) == brave_prove(q)
@@ -337,6 +353,22 @@ class TestChain:
 
     def test_two_extensions(self):
         assert len(extensions(chain(12))) == 2
+
+    def test_skeptical_certificate_checks_with_the_engine_sweep(self, monkeypatch):
+        t = chain(8)
+        q = SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({Poss(Atom("a1"))}))
+        calls = []
+        real = luk3.defaults.gamma
+        monkeypatch.setattr(luk3.defaults, "gamma", lambda *args: calls.append(1) or real(*args))
+        proof = skeptical_decide(q)
+        decided = len(calls)
+        assert isinstance(proof, SkepticalProof)
+        assert check_skeptical_proof(proof)
+        # the checker sweeps with the never-fires cut, as the engine does
+        assert len(calls) == 2 * decided
+        mutants = list(skeptical_mutants(proof))
+        assert len(mutants) == 264
+        assert not any(check_skeptical_proof(m) for m in mutants)
 
     def test_brave_agrees_with_oracle(self):
         a1, a2 = Atom("a1"), Atom("a2")
@@ -443,17 +475,39 @@ def test_brave_agrees_with_oracle_on_small_sweep(family):
         assert bool(brave_prove(q)) == oracles.brave_holds(t, sigma, theta)
 
 
-def test_skeptical_brave_duality_on_small_sweep(family):
-    rng = random.Random(13)
+def _skeptical_sweep_queries(family, count, seed):
     pool = query_pool()
-    for k in range(64):
+    rng = random.Random(seed)
+    for k in range(count):
         t = family[k % len(family)]
         constraints = frozenset(SignedConstraint(rng.random() < 0.5, f)
                                 for f in rng.sample(pool, rng.randint(0, 2)))
         theta = frozenset(rng.sample(pool, rng.randint(0, 2)))
-        q = SkepticalSequent(constraints, t.facts, t.defaults, theta)
+        yield t, SkepticalSequent(constraints, t.facts, t.defaults, theta)
+
+
+def test_skeptical_brave_duality_on_small_sweep(family):
+    for t, q in _skeptical_sweep_queries(family, 64, seed=13):
         assert bool(skeptical_decide(q)) == (not brave_prove(brave_translation(q)))
-        assert bool(skeptical_decide(q)) == oracles.skeptical_holds(t, constraints, theta)
+        assert bool(skeptical_decide(q)) == oracles.skeptical_holds(t, q.sigma, q.theta)
+
+
+def test_skeptical_checker_never_calls_the_calculus(family, monkeypatch):
+    proofs = [p for p in (skeptical_decide(q) for _, q in _skeptical_sweep_queries(family, 64, 13))
+              if p]
+    assert proofs
+
+    def refuse(*args):
+        raise AssertionError("the calculus was called")
+
+    monkeypatch.setattr(luk3.defaults, "_proof", refuse)
+    monkeypatch.setattr(luk3.defaults, "prove", refuse)
+    with pytest.raises(AssertionError, match="the calculus was called"):
+        extensions(family[-1])  # the engine's default route is cut off
+    for proof in proofs:
+        assert check_skeptical_proof(proof)
+        for mutant in skeptical_mutants(proof):
+            assert not check_skeptical_proof(mutant)
 
 
 class TestCertificates:
