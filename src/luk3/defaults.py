@@ -17,7 +17,8 @@ search; a brave certificate chooses each block reason from the final basis.
 The operator and the sweep take their entailment test as an argument: the
 engine decides entailment with the sequent calculus, and the skeptical
 checker runs the same sweep with truth-table entailment, so it never calls
-the calculus it audits.
+the calculus it audits; both checkers decide each entailment that a
+certificate gives evidence for by replaying that evidence.
 Queries, results and certificate parts are immutable named tuples.
 """
 
@@ -459,6 +460,19 @@ DefaultProof = BraveProof | SkepticalProof
 # Certificate checking
 
 
+def _replayed(basis: frozenset[Formula], f: Formula, proof: ProofTree | None,
+              refutation: RefutationTree | None) -> bool | None:
+    """Whether ``basis`` entails ``f``, decided by replaying the one piece of
+    evidence given: a proof of the entailment sequent or a refutation of its
+    anti-sequent.  None when neither or both are given, or when the one given
+    fails its checker.  Both checks are sound, so no other route is needed."""
+    if refutation is None and proof is not None:
+        return True if check_proof(proof, entailment_sequent(basis, f)) else None
+    if proof is None and refutation is not None:
+        return False if check_refutation(refutation, AntiSequent3.of(basis, basis, (f,))) else None
+    return None
+
+
 def check_brave_proof(proof: BraveProof) -> bool:
     """Replay the dispositions and re-verify every embedded certificate.
 
@@ -482,10 +496,8 @@ def check_brave_proof(proof: BraveProof) -> bool:
             return False
         remaining.remove(d)
         if step.kind == FIRED:
-            t = step.groundedness
-            if step.justification_index is not None or t is None:
-                return False
-            if not check_proof(t, entailment_sequent(basis, d.prereq)):
+            if (step.justification_index is not None
+                    or not _replayed(basis, d.prereq, step.groundedness, None)):
                 return False
             basis |= {Poss(d.consequent)}
             theta |= set(_blocking_formulas(d))
@@ -511,18 +523,13 @@ def check_brave_proof(proof: BraveProof) -> bool:
         return False
     if {f for f, _ in proof.theta_refutations} != theta:
         return False
-    for f, t in proof.sigma_proofs:
-        if not check_proof(t, entailment_sequent(basis, f)):
-            return False
-    for f, r in proof.theta_refutations:
-        if not check_refutation(r, AntiSequent3.of(basis, basis, (f,))):
-            return False
-    return True
+    return (all(_replayed(basis, f, t, None) for f, t in proof.sigma_proofs)
+            and all(_replayed(basis, f, None, r) is False for f, r in proof.theta_refutations))
 
 
 @cache
 def _sem_entailed(basis: frozenset[Formula], f: Formula) -> bool:
-    """Entailment by truth tables: the skeptical checker's route."""
+    """Entailment by truth tables: the route of the skeptical checker's sweep."""
     return bool(tt_entails(basis, f))
 
 
@@ -531,9 +538,11 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
 
     The checker runs the engine's candidate sweep with truth-table
     entailment (no proof search): every transcript record must equal the
-    sweep's, the verdict list must match its extensions, every piece of
-    constraint evidence must be a valid proof or refutation of the right
-    conclusion, and each satisfying extension must carry a valid goal proof.
+    sweep's, and the verdicts must be the sweep's extensions in rank order,
+    each with its basis, its fired defaults in firing order, and their
+    indices.  Constraint and goal entailments are decided by replaying the
+    evidence (each proof or refutation must check against the extension's
+    basis), and each satisfying extension must carry a goal proof.
     Raises SearchLimitError, as the engine does, when the 2^n candidates
     exceed DEFAULT_MAX_STATES.
     """
@@ -544,47 +553,32 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
         return False
     if len(proof.transcript) != 1 << len(q.delta):
         return False
-    kept_bases = []
+    index_of = {d: i for i, d in enumerate(q.delta)}
+    constraints = tuple(sorted(q.sigma, key=_constraint_key))
+    verdicts = iter(proof.verdicts)
     for record, (expected, e) in zip(proof.transcript, _candidates(theory, _sem_entailed)):
         if record != expected:
             return False
-        if e is not None:
-            kept_bases.append((record.fired_indices, e.basis))
-    if len(proof.verdicts) != len(kept_bases):
-        return False
-    expected_constraints = tuple(sorted(q.sigma, key=_constraint_key))
-    for verdict, (indices, basis) in zip(proof.verdicts, kept_bases):
-        if verdict.extension.basis != basis or verdict.fired_indices != indices:
-            return False
-        if tuple(ev.constraint for ev in verdict.evidence) != expected_constraints:
+        if e is None:
+            continue
+        verdict = next(verdicts, None)
+        if (verdict is None or verdict.extension != e
+                or verdict.fired_indices != tuple(index_of[d] for d in e.fired)
+                or tuple(ev.constraint for ev in verdict.evidence) != constraints):
             return False
         for ev in verdict.evidence:
-            entailed = _sem_entailed(basis, ev.constraint.formula)
-            if ev.satisfied != (entailed == ev.constraint.positive):
+            entailed = _replayed(e.basis, ev.constraint.formula, ev.proof, ev.refutation)
+            if entailed is None or ev.satisfied != (entailed == ev.constraint.positive):
                 return False
-            if entailed:
-                if ev.proof is None or ev.refutation is not None:
-                    return False
-                if not check_proof(ev.proof, entailment_sequent(basis, ev.constraint.formula)):
-                    return False
-            else:
-                if ev.refutation is None or ev.proof is not None:
-                    return False
-                if not check_refutation(ev.refutation, AntiSequent3.of(basis, basis, (ev.constraint.formula,))):
-                    return False
         if verdict.satisfies_constraints != all(ev.satisfied for ev in verdict.evidence):
             return False
         if verdict.satisfies_constraints:
-            if verdict.goal is None or verdict.goal not in q.theta:
-                return False
-            if not _sem_entailed(basis, verdict.goal):
-                return False
-            if verdict.goal_proof is None or not check_proof(
-                    verdict.goal_proof, entailment_sequent(basis, verdict.goal)):
+            if (verdict.goal not in q.theta
+                    or not _replayed(e.basis, verdict.goal, verdict.goal_proof, None)):
                 return False
         elif verdict.goal is not None or verdict.goal_proof is not None:
             return False
-    return True
+    return next(verdicts, None) is None
 
 
 # ---------------------------------------------------------------------------

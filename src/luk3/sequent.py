@@ -16,13 +16,13 @@ refutes the root definitively.
 
 Sequents are tuples of their three components.  ``ProofFailure`` and
 ``RuleInstance`` are immutable named tuples; ``ProofTree`` is an immutable
-slotted class with the same value semantics, because ``check_proof``
-remembers checked nodes through weak references, which tuples do not take.
+slotted class with the same value semantics, because ``check_proof`` marks
+each node it has checked in a private slot of the node, which a tuple has
+no room for.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import cache
 from itertools import product
 from operator import itemgetter
@@ -237,11 +237,12 @@ class ProofTree:
     ``conn:position``) and the subproofs of the rule's premises.
 
     An immutable record that compares and hashes as its field tuple.  It is
-    a slotted class, not a tuple, so that ``check_proof`` can refer to
-    checked nodes weakly.
+    a slotted class, not a tuple, so that ``check_proof`` can mark a checked
+    node in its private ``_trusted`` slot.  Equality, hash, repr and pickling
+    ignore the mark, so a copy starts unchecked.
     """
 
-    __slots__ = ("conclusion", "rule", "premises", "__weakref__")
+    __slots__ = ("conclusion", "rule", "premises", "_trusted")
     __match_args__ = ("conclusion", "rule", "premises")
 
     def __init__(self, conclusion: Sequent3, rule: str,
@@ -249,6 +250,7 @@ class ProofTree:
         _set_conclusion(self, conclusion)
         _set_rule(self, rule)
         _set_premises(self, premises)
+        _set_trusted(self, False)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -276,6 +278,7 @@ class ProofTree:
 _set_conclusion = ProofTree.conclusion.__set__
 _set_rule = ProofTree.rule.__set__
 _set_premises = ProofTree.premises.__set__
+_set_trusted = ProofTree._trusted.__set__
 
 
 class ProofFailure(NamedTuple):
@@ -357,16 +360,6 @@ def _extend_witness(witness: Interpretation, triple: ComponentTriple) -> Interpr
 # Checking
 
 
-#: Proof nodes that passed ``check_proof``, by id, held weakly: a node is
-#: immutable, so it stays valid while it is alive, and its entry goes with it.
-_verified: dict[int, weakref.KeyedRef] = {}
-
-
-def _forget(ref: weakref.KeyedRef) -> None:
-    if _verified.get(ref.key) is ref:
-        del _verified[ref.key]
-
-
 def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
     """Audit a proof tree without redoing search.
 
@@ -374,10 +367,12 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
     each inner node's children must be exactly the premises obtained by
     applying the node's named rule to its principal: the one formula the
     named component loses in the first premise (every rule has a premise,
-    and inserts only proper subformulas).  A node that passed stays trusted
-    while it is alive, so shared subtrees are verified once, both in trees
-    from ``prove`` and in trees read back by ``proof_from_doc``, and a tree
-    that differs from a checked one in a single node costs the path to it.
+    and inserts only proper subformulas).  A node that passed is marked as
+    trusted in place (a node is immutable, so the mark stays true, and no
+    table outside the tree refers to it), so shared subtrees are verified
+    once, both in trees from ``prove`` and in trees read back by
+    ``proof_from_doc``, and a tree that differs from a checked one in a
+    single node costs the path to it.
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
@@ -385,8 +380,7 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
 
 
 def _checked(node: ProofTree) -> bool:
-    ref = _verified.get(id(node))
-    if ref is not None and ref() is node:
+    if node._trusted:
         return True
     if node.rule == "axiom":
         good = not node.premises and is_axiom(node.conclusion)
@@ -404,7 +398,7 @@ def _checked(node: ProofTree) -> bool:
                         == tuple(p.conclusion for p in node.premises)
                         and all(_checked(p) for p in node.premises))
     if good:
-        _verified[id(node)] = weakref.KeyedRef(node, _forget, id(node))
+        _set_trusted(node, True)
     return good
 
 

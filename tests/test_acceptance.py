@@ -41,6 +41,11 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"[criterion {number}] {name}: {status} ({detail})")
 
 
+#: Criterion 7's audit: genuine certificates, and single-node mutants, all rejected.
+AUDITED_CERTIFICATES = 1930
+AUDITED_MUTANTS = 49243
+
+
 @pytest.fixture(scope="session")
 def calculus_runs(corpus):
     t0 = perf_counter()
@@ -239,12 +244,13 @@ def test_criterion_7_certificate_audit(calculus_runs, sweep):
             else:
                 rejected_ok += 1
     seconds = perf_counter() - t0
-    ok = failures == 0 and audited > 0
+    # the exact counts: a mutator or corpus change that shrinks the audit fails here
+    ok = failures == 0 and (audited, rejected_ok) == (AUDITED_CERTIFICATES, AUDITED_MUTANTS)
     report(7, "certificate audit", ok,
            f"{audited} certificates, {rejected_ok} mutants rejected, "
            f"{failures} failures, {seconds:.1f}s")
     assert failures == 0
-    assert audited > 0
+    assert (audited, rejected_ok) == (AUDITED_CERTIFICATES, AUDITED_MUTANTS)
 
 
 def test_criterion_8_skeptical_brave_duality(sweep):

@@ -232,6 +232,20 @@ class TestSkeptical:
         proof = skeptical_proof_from_doc(json.loads(cert.read_text()))
         assert check_skeptical_proof(proof)
 
+    def test_proof_of_extension_fired_out_of_index_order(self, capsys, tmp_path):
+        # the one extension fires a : b / b (index 1) before M b : c / c (index 0)
+        path = tmp_path / "t.dl3"
+        path.write_text("fact: a.\ndefault: M b : c / c.\ndefault: a : b / b.\n",
+                        encoding="utf-8")
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "skeptical", str(path), "--goals", "a",
+                             "--proof", str(cert))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "derivable"
+        proof = skeptical_proof_from_doc(json.loads(cert.read_text()))
+        assert [v.fired_indices for v in proof.verdicts] == [(1, 0)]
+        assert check_skeptical_proof(proof)
+
     def test_underivable_prints_counterexample(self, capsys, fork_theory):
         code, out, _ = run(capsys, "skeptical", fork_theory, "--goals", "b")
         assert code == 1

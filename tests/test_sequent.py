@@ -4,6 +4,7 @@ import copy
 import gc
 import json
 import pickle
+import sys
 from itertools import product
 
 import pytest
@@ -302,15 +303,29 @@ class TestVerifiedMemo:
                 assert len(conclusions) <= len(path)
                 assert {id(c) for c in conclusions} <= {id(node.conclusion) for node in path}
 
-    def test_memo_forgets_dropped_trees(self):
-        gc.collect()
-        before = len(luk3.sequent._verified)
+    def test_check_keeps_no_reference(self, monkeypatch):
+        # a checked node is marked in place: checking adds no reference to
+        # any node, and a pickled copy, which does not carry the mark, is
+        # verified anew
         proof = prove(parse_sequent("[ ; ; (p -> q) -> (~q -> ~p)]"))
+        nodes = _distinct_nodes(proof)
+        before = [sys.getrefcount(node) for node in nodes]
         assert check_proof(proof)
-        assert len(luk3.sequent._verified) > before
-        del proof
-        gc.collect()
-        assert len(luk3.sequent._verified) == before
+        assert [sys.getrefcount(node) for node in nodes] == before
+        conclusions = []
+        real = luk3.sequent.instantiate
+
+        def counting(conclusion, *args):
+            conclusions.append(conclusion)
+            return real(conclusion, *args)
+
+        monkeypatch.setattr(luk3.sequent, "instantiate", counting)
+        copied = pickle.loads(pickle.dumps(proof))
+        assert copied == proof and hash(copied) == hash(proof)
+        assert check_proof(proof)
+        assert conclusions == []
+        assert check_proof(copied)
+        assert len(conclusions) == sum(1 for node in nodes if node.premises)
 
 
 class TestTextAndDocs:
