@@ -28,7 +28,6 @@ from .semantics import (
     VALUES,
     Interpretation,
     TruthValue,
-    UndeclaredAtomError,
     apply_connective,
     atomic_countermodel,
     evaluate,
@@ -213,13 +212,10 @@ def check_refutation(tree: RefutationTree, conclusion: AntiSequent3 | None = Non
     for parent, child in zip(chain, chain[1:]):
         if not _rule_matches(parent, child):
             return False
-    for node in chain:
-        try:
-            if tt_sequent_true(node.conclusion, _extend_witness(leaf.witness, node.conclusion)):
-                return False
-        except UndeclaredAtomError:
-            return False
-    return True
+    # a matching step replaces its principal by all of its arguments, so
+    # every node has the root's atoms and one extension serves the chain
+    witness = _extend_witness(leaf.witness, tree.conclusion)
+    return not any(tt_sequent_true(node.conclusion, witness) for node in chain)
 
 
 def _rule_matches(parent: RefutationTree, child: RefutationTree) -> bool:
@@ -250,7 +246,7 @@ def _rule_matches(parent: RefutationTree, child: RefutationTree) -> bool:
 
 
 def print_antisequent(a: AntiSequent3) -> str:
-    return "!" + print_sequent(Sequent3(*a.components))
+    return "!" + print_sequent(a)
 
 
 def parse_antisequent(text: str) -> AntiSequent3:

@@ -2,8 +2,13 @@
 
 Exit codes: 0 the answer is yes (true/derivable), 1 the answer is no
 (counter-evidence goes to stdout), 2 input or resource error (stderr only).
-``--json`` switches stdout to the document format; ``--proof PATH`` writes
-the certificate, validated by the independent checker first.
+
+Each command computes its answer and returns it with one document and the
+certificate to write, if any.  ``--json`` prints that document; without it
+stdout is a text view rendered from the same document, so ``--json``
+changes stdout only.  ``--proof PATH`` writes the certificate, validated by
+the independent checker first.  ``main`` alone writes, prints and picks the
+exit code.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .antisequent import (
     check_refutation,
     countermodel_of,
     parse_antisequent,
-    print_antisequent,
     refutation_to_doc,
     refute,
 )
@@ -28,6 +32,7 @@ from .defaults import (
     SearchLimitError,
     SkepticalProof,
     SkepticalSequent,
+    _formula_list_doc,
     brave_proof_to_doc,
     brave_prove,
     check_brave_proof,
@@ -43,20 +48,10 @@ from .sequent import (
     check_proof,
     failure_countermodel,
     parse_sequent,
-    print_sequent,
     proof_to_doc,
     prove,
 )
-from .syntax import (
-    DuplicateWarning,
-    ParseError,
-    parse_formula,
-    parse_formula_list,
-    parse_theory,
-    print_default,
-    print_formula,
-    sort_key,
-)
+from .syntax import DuplicateWarning, ParseError, parse_formula, parse_formula_list, parse_theory
 
 __all__ = ["format_certificate", "main"]
 
@@ -82,23 +77,12 @@ def format_certificate(certificate) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
-def _write_certificate(args, certificate) -> None:
-    if getattr(args, "proof", None):
-        # formatted before the file is opened, so a failure leaves no file behind
-        text = format_certificate(certificate)
-        with open(args.proof, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _interp_doc(interp: Interpretation) -> dict:
     return {name: v.symbol for name, v in interp.assignment}
+
+
+def _basis_text(formulas: list[str]) -> str:
+    return ", ".join(formulas) or "(empty)"
 
 
 def _read_theory(path: str):
@@ -115,154 +99,135 @@ def _read_theory(path: str):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands, each with the view that renders its document as text
 
 
-def _cmd_eval(args) -> int:
+#: What a command returns: its answer (yes or no), the document ``--json``
+#: prints, and the certificate ``--proof`` writes, or None.
+_Answer = tuple[bool, dict, object]
+
+
+def _cmd_eval(args) -> _Answer:
     value = evaluate(parse_formula(args.formula), Interpretation.from_text(args.interp))
-    _emit(args, {"value": value.symbol}, value.symbol)
-    return 0 if value is TruthValue.T else 1
+    return value is TruthValue.T, {"value": value.symbol}, None
 
 
-def _cmd_valid(args) -> int:
+def _view_eval(doc: dict) -> str:
+    return doc["value"]
+
+
+def _cmd_valid(args) -> _Answer:
     verdict = tt_valid(parse_formula(args.formula))
     if verdict:
-        _emit(args, {"valid": True}, "valid")
-        return 0
-    counter = verdict.counter
-    _emit(args, {"valid": False, "counter": _interp_doc(counter)}, counter.to_text())
-    return 1
+        return True, {"valid": True}, None
+    return False, {"valid": False, "counter": _interp_doc(verdict.counter)}, None
 
 
-def _render_proof(tree: ProofTree) -> str:
-    """One line per occurrence of a node, indented by its depth; a shared
-    subtree is printed at each occurrence, but each distinct node's sequent
-    is printed to text once."""
-    texts: dict[int, str] = {}
-    lines: list[str] = []
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        text = texts.get(id(node))
-        if text is None:
-            text = texts[id(node)] = print_sequent(node.conclusion)
-        lines.append("  " * depth + f"{node.rule}: {text}")
-        stack.extend((p, depth + 1) for p in reversed(node.premises))
-    return "\n".join(lines)
+def _view_valid(doc: dict) -> str:
+    return "valid" if doc["valid"] else Interpretation.from_mapping(doc["counter"]).to_text()
 
 
-def _cmd_prove(args) -> int:
+def _cmd_prove(args) -> _Answer:
     s = parse_sequent(args.sequent)
     result = prove(s)
     if result:
-        _write_certificate(args, result)
-        _emit(args, {"proved": True, "certificate": proof_to_doc(result)}, _render_proof(result))
-        return 0
+        return True, {"proved": True, "certificate": proof_to_doc(result)}, result
     counter = failure_countermodel(result, s)
-    _emit(args, {"proved": False, "counter": _interp_doc(counter)}, counter.to_text())
-    return 1
+    return False, {"proved": False, "counter": _interp_doc(counter)}, None
 
 
-def _render_refutation(tree: RefutationTree) -> str:
-    lines = []
-    node = tree
-    while node is not None:
-        lines.append(f"{node.rule}: {print_antisequent(node.conclusion)}")
-        node = node.premise
+def _view_prove(doc: dict) -> str:
+    """One line per node of the certificate document, indented by its depth."""
+    if not doc["proved"]:
+        return Interpretation.from_mapping(doc["counter"]).to_text()
+    lines: list[str] = []
+    stack = [(doc["certificate"], 0)]
+    while stack:
+        node, depth = stack.pop()
+        lines.append("  " * depth + f"{node['rule']}: {node['sequent']}")
+        stack.extend((p, depth + 1) for p in reversed(node["premises"]))
     return "\n".join(lines)
 
 
-def _cmd_refute(args) -> int:
-    a = parse_antisequent(args.antisequent)
-    result = refute(a)
+def _cmd_refute(args) -> _Answer:
+    result = refute(parse_antisequent(args.antisequent))
     if result:
-        witness = countermodel_of(result)
-        _write_certificate(args, result)
-        _emit(args,
-              {"refuted": True, "witness": _interp_doc(witness),
-               "certificate": refutation_to_doc(result)},
-              witness.to_text())
-        return 0
-    _emit(args, {"refuted": False}, "irrefutable")
-    return 1
+        return True, {"refuted": True, "witness": _interp_doc(countermodel_of(result)),
+                      "certificate": refutation_to_doc(result)}, result
+    return False, {"refuted": False}, None
 
 
-def _basis_text(basis) -> str:
-    return ", ".join(print_formula(f) for f in sorted(basis, key=sort_key)) or "(empty)"
+def _view_refute(doc: dict) -> str:
+    if not doc["refuted"]:
+        return "irrefutable"
+    return Interpretation.from_mapping(doc["witness"]).to_text()
 
 
-def _cmd_extensions(args) -> int:
+def _cmd_extensions(args) -> _Answer:
     theory = _read_theory(args.theory)
     index_of = {d: i for i, d in enumerate(theory.defaults)}
-    results = extensions(theory)
-    docs = []
+    docs = [{"basis": _formula_list_doc(e.basis), "fired": [index_of[d] for d in e.fired]}
+            for e in extensions(theory)]
+    return bool(docs), {"extensions": docs}, None
+
+
+def _view_extensions(doc: dict) -> str:
     lines = []
-    for k, e in enumerate(results):
-        fired = [index_of[d] for d in e.fired]
-        docs.append({"basis": [print_formula(f) for f in sorted(e.basis, key=sort_key)],
-                     "fired": fired})
-        fired_text = ",".join(str(i) for i in fired) or "-"
-        lines.append(f"extension {k}: {_basis_text(e.basis)} [fired: {fired_text}]")
-    _emit(args, {"extensions": docs}, "\n".join(lines) if results else "no extensions")
-    return 0 if results else 1
+    for k, e in enumerate(doc["extensions"]):
+        fired = ",".join(str(i) for i in e["fired"]) or "-"
+        lines.append(f"extension {k}: {_basis_text(e['basis'])} [fired: {fired}]")
+    return "\n".join(lines) or "no extensions"
 
 
-def _render_brave(proof: BraveProof) -> str:
-    lines = ["derivable"]
-    for step in proof.steps:
-        if step.kind == "fired":
-            lines.append(f"  fire {print_default(step.default)}")
-        else:
-            detail = step.kind
-            if step.justification_index is not None:
-                detail += f" {step.justification_index}"
-            lines.append(f"  block {print_default(step.default)} ({detail})")
-    lines.append(f"  basis: {_basis_text(proof.final_basis)}")
-    return "\n".join(lines)
-
-
-def _cmd_brave(args) -> int:
+def _cmd_brave(args) -> _Answer:
     theory = _read_theory(args.theory)
     query = BraveSequent(theory.facts, theory.defaults,
                          frozenset(parse_formula_list(args.sigma)),
                          frozenset(parse_formula_list(args.theta)))
     result = brave_prove(query)
     if result:
-        _write_certificate(args, result)
-        _emit(args, {"derivable": True, "certificate": brave_proof_to_doc(result)},
-              _render_brave(result))
-        return 0
-    _emit(args, {"derivable": False}, "underivable")
-    return 1
+        return True, {"derivable": True, "certificate": brave_proof_to_doc(result)}, result
+    return False, {"derivable": False}, None
 
 
-def _cmd_skeptical(args) -> int:
+def _view_brave(doc: dict) -> str:
+    if not doc["derivable"]:
+        return "underivable"
+    lines = ["derivable"]
+    for step in doc["certificate"]["steps"]:
+        if step["disposition"] == "fired":
+            lines.append(f"  fire {step['default']}")
+        else:
+            detail = step["disposition"]
+            if "justification" in step:
+                detail += f" {step['justification']}"
+            lines.append(f"  block {step['default']} ({detail})")
+    lines.append(f"  basis: {_basis_text(doc['certificate']['basis'])}")
+    return "\n".join(lines)
+
+
+def _cmd_skeptical(args) -> _Answer:
     theory = _read_theory(args.theory)
     query = SkepticalSequent(frozenset(parse_constraints(args.constraints)),
                              theory.facts, theory.defaults,
                              frozenset(parse_formula_list(args.goals)))
     result = skeptical_decide(query)
     if result:
-        _write_certificate(args, result)
-        lines = ["derivable"]
-        for v in result.verdicts:
-            if v.satisfies_constraints:
-                lines.append(f"  extension {_basis_text(v.extension.basis)}: "
-                             f"contains {print_formula(v.goal)}")
-            else:
-                lines.append(f"  extension {_basis_text(v.extension.basis)}: "
-                             f"constraints not satisfied, skipped")
-        _emit(args, {"derivable": True, "certificate": skeptical_proof_to_doc(result)},
-              "\n".join(lines))
-        return 0
-    doc: dict = {"derivable": False}
-    text = "underivable"
-    if result.counterexample is not None:
-        ce = result.counterexample
-        doc["counterexample"] = {"basis": [print_formula(f) for f in sorted(ce.basis, key=sort_key)]}
-        text += f"\ncounterexample extension: {_basis_text(ce.basis)}"
-    _emit(args, doc, text)
-    return 1
+        return True, {"derivable": True, "certificate": skeptical_proof_to_doc(result)}, result
+    return False, {"derivable": False, "counterexample": {
+        "basis": _formula_list_doc(result.counterexample.basis)}}, None
+
+
+def _view_skeptical(doc: dict) -> str:
+    if not doc["derivable"]:
+        return ("underivable\ncounterexample extension: "
+                + _basis_text(doc["counterexample"]["basis"]))
+    lines = ["derivable"]
+    for v in doc["certificate"]["extensions"]:
+        verdict = (f"contains {v['goal']}" if v["satisfies_constraints"]
+                   else "constraints not satisfied, skipped")
+        lines.append(f"  extension {_basis_text(v['basis'])}: {verdict}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -277,39 +242,35 @@ def _build_parser() -> argparse.ArgumentParser:
                     "skeptical queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, proof=False):
+    def common(p, handler, view, proof=False):
         p.add_argument("--json", action="store_true",
                        help="emit the document format on stdout")
         if proof:
             p.add_argument("--proof", metavar="PATH",
                            help="write the certificate (canonical JSON) to PATH")
+        p.set_defaults(handler=handler, view=view)
 
     p = sub.add_parser("eval", help="evaluate a formula under an interpretation")
     p.add_argument("formula")
     p.add_argument("--interp", default="", metavar="ASSIGN",
                    help="interpretation like a=t,b=u")
-    common(p)
-    p.set_defaults(handler=_cmd_eval)
+    common(p, _cmd_eval, _view_eval)
 
     p = sub.add_parser("valid", help="decide validity by truth tables")
     p.add_argument("formula")
-    common(p)
-    p.set_defaults(handler=_cmd_valid)
+    common(p, _cmd_valid, _view_valid)
 
     p = sub.add_parser("prove", help="prove a three-sided sequent [f1, f2 ; ; g]")
     p.add_argument("sequent")
-    common(p, proof=True)
-    p.set_defaults(handler=_cmd_prove)
+    common(p, _cmd_prove, _view_prove, proof=True)
 
     p = sub.add_parser("refute", help="refute an anti-sequent ![f1 ; f2 ; f3]")
     p.add_argument("antisequent")
-    common(p, proof=True)
-    p.set_defaults(handler=_cmd_refute)
+    common(p, _cmd_refute, _view_refute, proof=True)
 
     p = sub.add_parser("extensions", help="enumerate the extensions of a .dl3 theory")
     p.add_argument("theory", help="path to a .dl3 file")
-    common(p)
-    p.set_defaults(handler=_cmd_extensions)
+    common(p, _cmd_extensions, _view_extensions)
 
     p = sub.add_parser("brave",
                        help="brave query: some extension contains every --in "
@@ -319,8 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated formulas required in the extension")
     p.add_argument("--out", dest="theta", default="", metavar="FORMULAS",
                    help="comma-separated formulas forbidden in the extension")
-    common(p, proof=True)
-    p.set_defaults(handler=_cmd_brave)
+    common(p, _cmd_brave, _view_brave, proof=True)
 
     p = sub.add_parser(
         "skeptical",
@@ -333,8 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated +formula / -formula (bare formula means +)")
     p.add_argument("--goals", default="", metavar="FORMULAS",
                    help="comma-separated goal formulas")
-    common(p, proof=True)
-    p.set_defaults(handler=_cmd_skeptical)
+    common(p, _cmd_skeptical, _view_skeptical, proof=True)
 
     return parser
 
@@ -342,17 +301,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (ParseError, ValueError, UndeclaredAtomError) as exc:
+        answer, doc, certificate = args.handler(args)
+        out = json.dumps(doc, indent=2, sort_keys=True) if args.json else args.view(doc)
+        if certificate is not None and getattr(args, "proof", None):
+            # formatted before the file is opened, so a failure leaves no file behind
+            text = format_certificate(certificate)
+            with open(args.proof, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        print(out)
+        return 0 if answer else 1
+    except (ParseError, ValueError, UndeclaredAtomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SearchLimitError, RecursionError) as exc:
         # RecursionError: a formula nested deeper than the recursive parser,
         # printer and calculi can follow
         print(f"error: resource limit: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

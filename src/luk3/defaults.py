@@ -404,7 +404,7 @@ class SkepticalProof(NamedTuple):
 
 class SkepticalFailure(NamedTuple):
     query: SkepticalSequent
-    counterexample: ExtensionBasis | None
+    counterexample: ExtensionBasis
 
     def __bool__(self) -> bool:
         return False

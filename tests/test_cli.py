@@ -88,10 +88,19 @@ class TestProveRefute:
 
     def test_prove_prints_each_distinct_sequent_once(self, capsys, monkeypatch):
         import luk3.cli
+        import luk3.sequent
 
         printed = []
-        real = luk3.cli.print_sequent
-        monkeypatch.setattr(luk3.cli, "print_sequent", lambda s: printed.append(s) or real(s))
+        real = luk3.sequent.print_sequent
+
+        def counting(s):
+            printed.append(s)
+            return real(s)
+
+        # every print_sequent of the invocation: the certificate writer's and
+        # any the CLI would make itself
+        monkeypatch.setattr(luk3.sequent, "print_sequent", counting)
+        monkeypatch.setattr(luk3.cli, "print_sequent", counting, raising=False)
         code, out, _ = run(capsys, "prove", "[ ; ; p -> p | p]")
         assert code == 0
         assert out == (
@@ -106,6 +115,10 @@ class TestProveRefute:
             "    |:3: [p ; p ; p | p]\n"
             "      axiom: [p ; p ; p]\n")
         # ten lines, but the proof has four distinct nodes
+        assert len(printed) == len(set(printed)) == 4
+        printed.clear()
+        code, _, _ = run(capsys, "prove", "--json", "[ ; ; p -> p | p]")
+        assert code == 0
         assert len(printed) == len(set(printed)) == 4
 
     def test_prove_failure_prints_counter(self, capsys):
@@ -350,3 +363,121 @@ def test_output_is_byte_stable_across_hash_seeds(tmp_path, argv):
         assert done.returncode == 0, done.stderr
         outputs.append((done.stdout, cert.read_bytes() if "--proof" in argv else b""))
     assert outputs[0] == outputs[1]
+
+
+THEORIES = {
+    "fork": "fact: a.\ndefault: a : b / b.\ndefault: a : ~b / ~b.\n",
+    "empty": "default: c : b / c.\n",
+    "none": "fact: a.\ndefault: a : ~b / L b.\n",
+    "blocked": "fact: a.\nfact: ~c.\ndefault: a : b, c / b.\ndefault: a : ~b / ~b.\n",
+    "dup": "fact: a.\nfact: a.\ndefault: a : b / b.\ndefault: a : ~b / ~b.\n",
+}
+
+
+def _theory_argv(tmp_path, argv):
+    """``argv`` with ``{name}`` replaced by the path of that theory file."""
+    out = []
+    for a in argv:
+        if a.startswith("{") and a.endswith("}"):
+            path = tmp_path / f"{a[1:-1]}.dl3"
+            path.write_text(THEORIES[a[1:-1]], encoding="utf-8")
+            a = str(path)
+        out.append(a)
+    return out
+
+
+# One invocation per rendering branch, with its exact stdout and exit code.
+GOLDEN = [
+    (["eval", "M p", "--interp", "p=u"], 0, "t\n"),
+    (["eval", "L p", "--interp", "p=u", "--json"], 1, '{\n  "value": "f"\n}\n'),
+    (["valid", "p -> p"], 0, "valid\n"),
+    (["valid", "p | ~p", "--json"], 1,
+     '{\n  "counter": {\n    "p": "u"\n  },\n  "valid": false\n}\n'),
+    (["prove", "[p ; p ; M p]"], 0, "M:3: [p ; p ; M p]\n  axiom: [p ; p ; p]\n"),
+    (["prove", "[ ; ; p | ~p]", "--json"], 1,
+     '{\n  "counter": {\n    "p": "u"\n  },\n  "proved": false\n}\n'),
+    (["refute", "![ ; ; p | ~p]", "--json"], 0, """{
+  "certificate": {
+    "premises": [
+      {
+        "premises": [
+          {
+            "premises": [
+              {
+                "premises": [],
+                "rule": "anti-axiom",
+                "sequent": "![p ;  ; p]",
+                "witness": {
+                  "p": "u"
+                }
+              }
+            ],
+            "rule": "~:3@u",
+            "sequent": "![p ;  ; p, ~p]"
+          }
+        ],
+        "rule": "~:1@u",
+        "sequent": "![p, ~p ;  ; p, ~p]"
+      }
+    ],
+    "rule": "|:3@u,u",
+    "sequent": "![ ;  ; p | ~p]"
+  },
+  "refuted": true,
+  "witness": {
+    "p": "u"
+  }
+}
+"""),
+    (["refute", "![ ; ; p -> p]", "--json"], 1, '{\n  "refuted": false\n}\n'),
+    (["extensions", "{fork}"], 0,
+     "extension 0: a, M b [fired: 0]\nextension 1: a, M ~b [fired: 1]\n"),
+    (["extensions", "{empty}"], 0, "extension 0: (empty) [fired: -]\n"),
+    (["extensions", "{none}", "--json"], 1, '{\n  "extensions": []\n}\n'),
+    (["brave", "{blocked}", "--in", "M ~b"], 0,
+     "derivable\n"
+     "  fire a : ~b / ~b\n"
+     "  block a : b, c / b (blocked-justification 2)\n"
+     "  basis: a, ~c, M ~b\n"),
+    (["brave", "{fork}", "--in", "b", "--json"], 1, '{\n  "derivable": false\n}\n'),
+    (["skeptical", "{fork}", "--constraints", "+M b", "--goals", "M b"], 0,
+     "derivable\n"
+     "  extension a, M b: contains M b\n"
+     "  extension a, M ~b: constraints not satisfied, skipped\n"),
+    (["skeptical", "{fork}", "--goals", "b", "--json"], 1,
+     '{\n  "counterexample": {\n    "basis": [\n      "a",\n      "M b"\n    ]\n  },\n'
+     '  "derivable": false\n}\n'),
+    (["skeptical", "{empty}"], 1, "underivable\ncounterexample extension: (empty)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", GOLDEN, ids=[
+    " ".join(argv).replace("[", "(").replace("]", ")") for argv, _, _ in GOLDEN])
+def test_golden_output(capsys, tmp_path, argv, code, out):
+    assert run(capsys, *_theory_argv(tmp_path, argv)) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["prove", "[p, q ; p, q ; p & q]"], id="prove-yes"),
+    pytest.param(["prove", "[ ; ; p | ~p]"], id="prove-no"),
+    pytest.param(["prove", "[p ; p ; " + "~" * 450 + "p]"], id="prove-too-deep"),
+    pytest.param(["refute", "![ ; ; p | ~p]"], id="refute-yes"),
+    pytest.param(["refute", "![ ; ; p -> p]"], id="refute-no"),
+    pytest.param(["brave", "{dup}", "--in", "M b"], id="brave-yes-warned"),
+    pytest.param(["brave", "{fork}", "--in", "b"], id="brave-no"),
+    pytest.param(["skeptical", "{dup}", "--constraints", "+M b", "--goals", "M b"],
+                 id="skeptical-yes-warned"),
+    pytest.param(["skeptical", "{fork}", "--goals", "b"], id="skeptical-no"),
+])
+def test_json_changes_stdout_only(capsys, tmp_path, argv):
+    argv = _theory_argv(tmp_path, argv)
+    seen = []
+    for extra in ([], ["--json"]):
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, *argv, "--proof", str(cert), *extra)
+        if extra:
+            assert out == "" if code == 2 else json.loads(out)
+        seen.append((code, err, cert.read_bytes() if cert.exists() else None))
+        if cert.exists():
+            cert.unlink()
+    assert seen[0] == seen[1]
