@@ -13,7 +13,8 @@ The rules are not invertible, but search does not backtrack: refutability is
 decided by ``prove`` on the matching sequent, and when that fails its
 countermodel falsifies every node of the chain, so committing each principal
 to its arguments' values under the countermodel always leads to an
-anti-axiom.  ``check_refutation`` replays the chain without that model.
+anti-axiom.  ``check_refutation`` replays the chain without that model: it
+checks each rule step and the leaf, whose witness alone is evaluated.
 ``RefutationTree`` and ``RefutationFailure`` are immutable named tuples.
 """
 
@@ -194,44 +195,41 @@ def check_refutation(tree: RefutationTree, conclusion: AntiSequent3 | None = Non
     """Audit a refutation chain without redoing search.
 
     Each step must apply its named rule to the one formula the named
-    component loses, the leaf must be an atomic anti-axiom, and the leaf
-    witness must falsify the sequent reading of every node on the chain.
+    component loses, and the leaf must be an atomic anti-axiom whose witness
+    falsifies its sequent reading.  Like ``check_proof``, this checks the
+    derivation's steps and its leaf, and evaluates nothing else: a matched
+    step is sound (an interpretation that falsifies its premise falsifies
+    its conclusion) and keeps its conclusion's atoms, so the witness,
+    extended once to the root's atoms, falsifies every node of the chain.
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
-    chain = [tree]
-    while chain[-1].premise is not None:
-        if chain[-1].witness is not None:
+    node = tree
+    while node.premise is not None:
+        if node.witness is not None or not _rule_matches(node, node.premise):
             return False
-        chain.append(chain[-1].premise)
-    leaf = chain[-1]
-    if leaf.rule != "anti-axiom" or leaf.witness is None:
+        node = node.premise
+    if node.rule != "anti-axiom" or node.witness is None:
         return False
-    if any(not isinstance(f, Atom) for comp in leaf.conclusion.components for f in comp):
+    if any(not isinstance(f, Atom) for comp in node.conclusion.components for f in comp):
         return False
-    for parent, child in zip(chain, chain[1:]):
-        if not _rule_matches(parent, child):
-            return False
-    # a matching step replaces its principal by all of its arguments, so
-    # every node has the root's atoms and one extension serves the chain
-    witness = _extend_witness(leaf.witness, tree.conclusion)
-    return not any(tt_sequent_true(node.conclusion, witness) for node in chain)
+    return not tt_sequent_true(node.conclusion, _extend_witness(node.witness, tree.conclusion))
+
+
+@cache
+def _antirules() -> dict[str, tuple[str, int, tuple[TruthValue, ...]]]:
+    """Every anti-rule name the calculus generates, with its connective,
+    position and committed argument values."""
+    return {_rule_name(conn, position, values): (conn, position, values)
+            for conn in ARITY for position in (1, 2, 3)
+            for values in generate_antirules(conn, position)}
 
 
 def _rule_matches(parent: RefutationTree, child: RefutationTree) -> bool:
-    conn, sep, rest = parent.rule.partition(":")
-    pos_text, at, value_text = rest.partition("@")
-    if not sep or not at or conn not in ARITY or pos_text not in {"1", "2", "3"}:
+    rule = _antirules().get(parent.rule)
+    if rule is None:
         return False
-    position = int(pos_text)
-    try:
-        values = tuple(TruthValue.from_symbol(s) for s in value_text.split(","))
-    except ValueError:
-        return False
-    if len(values) != ARITY[conn]:
-        return False
-    if apply_connective(conn, values) is VALUES[position - 1]:
-        return False  # the committed tuple must avoid the component's value
+    conn, position, values = rule
     # an anti-rule removes only its principal and inserts proper subformulas
     lost = parent.conclusion.component(position) - child.conclusion.component(position)
     if len(lost) != 1:
@@ -277,8 +275,10 @@ def refutation_from_doc(doc) -> RefutationTree:
     ParseError for a bad anti-sequent text, exactly as ``parse_antisequent``
     does on it, and ValueError for a malformed node."""
     formulas: dict[str, Formula] = {}
-
-    def read(doc) -> RefutationTree:
+    nodes = []
+    premises = [doc]
+    while premises:
+        doc = premises[0]
         rule, text, premises = _node_fields(doc, "refutation")
         if len(premises) > 1:
             raise ValueError("malformed refutation document: multiple premises")
@@ -289,14 +289,9 @@ def refutation_from_doc(doc) -> RefutationTree:
                 raise ValueError("malformed refutation document")
             witness = Interpretation.from_mapping(doc["witness"])
         comps = _read_components(text, "![", formulas)
-        return RefutationTree(
-            parse_antisequent(text) if comps is None else AntiSequent3.of(*comps),
-            rule,
-            premise=read(premises[0]) if premises else None,
-            witness=witness,
-        )
-
-    try:
-        return read(doc)
-    finally:
-        del read  # read refers to itself; the cycle would keep the tables until a collection
+        nodes.append((parse_antisequent(text) if comps is None else AntiSequent3.of(*comps),
+                      rule, witness))
+    tree = None
+    for conclusion, rule, witness in reversed(nodes):
+        tree = RefutationTree(conclusion, rule, premise=tree, witness=witness)
+    return tree

@@ -3,12 +3,14 @@
 Exit codes: 0 the answer is yes (true/derivable), 1 the answer is no
 (counter-evidence goes to stdout), 2 input or resource error (stderr only).
 
-Each command computes its answer and returns it with one document and the
-certificate to write, if any.  ``--json`` prints that document; without it
-stdout is a text view rendered from the same document, so ``--json``
-changes stdout only.  ``--proof PATH`` writes the certificate, validated by
-the independent checker first.  ``main`` alone writes, prints and picks the
-exit code.
+Each command computes its answer and returns it with one document and, when
+that document holds a certificate, the certificate's independent checker
+bound to it (and to the asked root, for ``prove`` and ``refute``).
+``--json`` prints that document; without it stdout is a text view rendered
+from the same document, so ``--json`` changes stdout only.  ``--proof PATH``
+writes the document's ``"certificate"`` part once its checker accepts it.
+``main`` alone checks and writes the certificate, prints and picks the exit
+code.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import argparse
 import json
 import sys
 import warnings
+from collections.abc import Callable
+from functools import partial
 
 from .antisequent import (
-    RefutationTree,
     check_refutation,
     countermodel_of,
     parse_antisequent,
@@ -27,10 +30,8 @@ from .antisequent import (
     refute,
 )
 from .defaults import (
-    BraveProof,
     BraveSequent,
     SearchLimitError,
-    SkepticalProof,
     SkepticalSequent,
     _formula_list_doc,
     brave_proof_to_doc,
@@ -43,38 +44,10 @@ from .defaults import (
     skeptical_proof_to_doc,
 )
 from .semantics import Interpretation, TruthValue, UndeclaredAtomError, evaluate, tt_valid
-from .sequent import (
-    ProofTree,
-    check_proof,
-    failure_countermodel,
-    parse_sequent,
-    proof_to_doc,
-    prove,
-)
+from .sequent import check_proof, failure_countermodel, parse_sequent, proof_to_doc, prove
 from .syntax import DuplicateWarning, ParseError, parse_formula, parse_formula_list, parse_theory
 
-__all__ = ["format_certificate", "main"]
-
-
-def format_certificate(certificate) -> str:
-    """Canonical JSON for a proof, refutation, brave or skeptical certificate.
-
-    The matching checker runs first; a certificate it rejects raises
-    ValueError rather than being serialized.
-    """
-    if isinstance(certificate, ProofTree):
-        ok, doc = check_proof(certificate), proof_to_doc(certificate)
-    elif isinstance(certificate, RefutationTree):
-        ok, doc = check_refutation(certificate), refutation_to_doc(certificate)
-    elif isinstance(certificate, BraveProof):
-        ok, doc = check_brave_proof(certificate), brave_proof_to_doc(certificate)
-    elif isinstance(certificate, SkepticalProof):
-        ok, doc = check_skeptical_proof(certificate), skeptical_proof_to_doc(certificate)
-    else:
-        raise ValueError(f"not a certificate: {certificate!r}")
-    if not ok:
-        raise ValueError("malformed certificate")
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+__all__ = ["main"]
 
 
 def _interp_doc(interp: Interpretation) -> dict:
@@ -103,8 +76,8 @@ def _read_theory(path: str):
 
 
 #: What a command returns: its answer (yes or no), the document ``--json``
-#: prints, and the certificate ``--proof`` writes, or None.
-_Answer = tuple[bool, dict, object]
+#: prints, and the check of the certificate in that document, or None.
+_Answer = tuple[bool, dict, Callable[[], bool] | None]
 
 
 def _cmd_eval(args) -> _Answer:
@@ -131,7 +104,8 @@ def _cmd_prove(args) -> _Answer:
     s = parse_sequent(args.sequent)
     result = prove(s)
     if result:
-        return True, {"proved": True, "certificate": proof_to_doc(result)}, result
+        return (True, {"proved": True, "certificate": proof_to_doc(result)},
+                partial(check_proof, result, s))
     counter = failure_countermodel(result, s)
     return False, {"proved": False, "counter": _interp_doc(counter)}, None
 
@@ -150,10 +124,12 @@ def _view_prove(doc: dict) -> str:
 
 
 def _cmd_refute(args) -> _Answer:
-    result = refute(parse_antisequent(args.antisequent))
+    a = parse_antisequent(args.antisequent)
+    result = refute(a)
     if result:
-        return True, {"refuted": True, "witness": _interp_doc(countermodel_of(result)),
-                      "certificate": refutation_to_doc(result)}, result
+        return (True, {"refuted": True, "witness": _interp_doc(countermodel_of(result)),
+                       "certificate": refutation_to_doc(result)},
+                partial(check_refutation, result, a))
     return False, {"refuted": False}, None
 
 
@@ -186,7 +162,8 @@ def _cmd_brave(args) -> _Answer:
                          frozenset(parse_formula_list(args.theta)))
     result = brave_prove(query)
     if result:
-        return True, {"derivable": True, "certificate": brave_proof_to_doc(result)}, result
+        return (True, {"derivable": True, "certificate": brave_proof_to_doc(result)},
+                partial(check_brave_proof, result))
     return False, {"derivable": False}, None
 
 
@@ -213,7 +190,8 @@ def _cmd_skeptical(args) -> _Answer:
                              frozenset(parse_formula_list(args.goals)))
     result = skeptical_decide(query)
     if result:
-        return True, {"derivable": True, "certificate": skeptical_proof_to_doc(result)}, result
+        return (True, {"derivable": True, "certificate": skeptical_proof_to_doc(result)},
+                partial(check_skeptical_proof, result))
     return False, {"derivable": False, "counterexample": {
         "basis": _formula_list_doc(result.counterexample.basis)}}, None
 
@@ -301,11 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        answer, doc, certificate = args.handler(args)
+        answer, doc, check = args.handler(args)
         out = json.dumps(doc, indent=2, sort_keys=True) if args.json else args.view(doc)
-        if certificate is not None and getattr(args, "proof", None):
-            # formatted before the file is opened, so a failure leaves no file behind
-            text = format_certificate(certificate)
+        if check is not None and getattr(args, "proof", None):
+            # checked and formatted before the file is opened, so a failure
+            # leaves no file behind
+            if not check():
+                raise ValueError("malformed certificate")
+            text = json.dumps(doc["certificate"], indent=2, sort_keys=True) + "\n"
             with open(args.proof, "w", encoding="utf-8") as fh:
                 fh.write(text)
         print(out)

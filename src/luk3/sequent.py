@@ -523,25 +523,20 @@ def proof_from_doc(doc) -> ProofTree:
     for a bad sequent text, exactly as ``parse_sequent`` does on it, and
     ValueError for a malformed node.
     """
-    formulas: dict[str, Formula] = {}
-    sequents: dict[str, Sequent3] = {}
-    nodes: dict[tuple[str, str, tuple[int, ...]], ProofTree] = {}
+    return _read_proof(doc, {}, {}, {})
 
-    def read(doc) -> ProofTree:
-        rule, text, premises = _node_fields(doc, "proof")
-        s = sequents.get(text)
-        if s is None:
-            comps = _read_components(text, "[", formulas)
-            s = parse_sequent(text) if comps is None else Sequent3.of(*comps)
-            sequents[text] = s
-        subproofs = tuple(read(p) for p in premises)
-        key = (rule, text, tuple(map(id, subproofs)))
-        node = nodes.get(key)
-        if node is None:
-            node = nodes[key] = ProofTree(s, rule, subproofs)
-        return node
 
-    try:
-        return read(doc)
-    finally:
-        del read  # read refers to itself; the cycle would keep the tables until a collection
+def _read_proof(doc, formulas: dict[str, Formula], sequents: dict[str, Sequent3],
+                nodes: dict[tuple[str, str, tuple[int, ...]], ProofTree]) -> ProofTree:
+    rule, text, premises = _node_fields(doc, "proof")
+    s = sequents.get(text)
+    if s is None:
+        comps = _read_components(text, "[", formulas)
+        s = parse_sequent(text) if comps is None else Sequent3.of(*comps)
+        sequents[text] = s
+    subproofs = tuple(_read_proof(p, formulas, sequents, nodes) for p in premises)
+    key = (rule, text, tuple(map(id, subproofs)))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = ProofTree(s, rule, subproofs)
+    return node

@@ -26,12 +26,14 @@ from luk3.antisequent import (
 from luk3.semantics import (
     VALUES,
     Interpretation,
+    TruthValue,
+    apply_connective,
     enumerate_interpretations,
     tt_sequent_true,
     tt_sequent_valid,
 )
-from luk3.sequent import Sequent3, prove
-from luk3.syntax import ARITY, Atom, Not, ParseError, Poss, children, parse_formula
+from luk3.sequent import Sequent3, _extend_witness, prove
+from luk3.syntax import ARITY, Atom, Not, ParseError, Poss, children, connective, parse_formula
 
 F, U, T = VALUES
 P, Q = Atom("p"), Atom("q")
@@ -251,6 +253,117 @@ class TestChecker:
         for node in reversed(leaf_chain[:-1]):
             rebuilt = node._replace(premise=rebuilt)
         assert not check_refutation(rebuilt, a)
+
+
+def _reference_check_refutation(tree, conclusion=None):
+    """The refutation checker as first written: rule names parsed from their
+    text, and the leaf witness, extended to the root's atoms, required to
+    falsify the sequent reading of every node on the chain."""
+    if conclusion is not None and tree.conclusion != conclusion:
+        return False
+    chain = [tree]
+    while chain[-1].premise is not None:
+        if chain[-1].witness is not None:
+            return False
+        chain.append(chain[-1].premise)
+    leaf = chain[-1]
+    if leaf.rule != "anti-axiom" or leaf.witness is None:
+        return False
+    if any(not isinstance(f, Atom) for comp in leaf.conclusion.components for f in comp):
+        return False
+    for parent, child in zip(chain, chain[1:]):
+        if not _reference_rule_matches(parent, child):
+            return False
+    witness = _extend_witness(leaf.witness, tree.conclusion)
+    return not any(tt_sequent_true(node.conclusion, witness) for node in chain)
+
+
+def _reference_rule_matches(parent, child):
+    conn, sep, rest = parent.rule.partition(":")
+    pos_text, at, value_text = rest.partition("@")
+    if not sep or not at or conn not in ARITY or pos_text not in {"1", "2", "3"}:
+        return False
+    position = int(pos_text)
+    try:
+        values = tuple(TruthValue.from_symbol(s) for s in value_text.split(","))
+    except ValueError:
+        return False
+    if len(values) != ARITY[conn] or apply_connective(conn, values) is VALUES[position - 1]:
+        return False
+    lost = parent.conclusion.component(position) - child.conclusion.component(position)
+    if len(lost) != 1:
+        return False
+    (f,) = lost
+    return (connective(f) == conn
+            and apply_antirule(parent.conclusion, f, position, values) == child.conclusion)
+
+
+def _with_leaf(tree, leaf):
+    """``tree`` with its leaf replaced by ``leaf``."""
+    chain = []
+    while tree.premise is not None:
+        chain.append(tree)
+        tree = tree.premise
+    for node in reversed(chain):
+        leaf = node._replace(premise=leaf)
+    return leaf
+
+
+def _witness_variants(tree):
+    """``tree`` with one atom of its leaf witness changed to each other value."""
+    leaf = tree
+    while leaf.premise is not None:
+        leaf = leaf.premise
+    table = leaf.witness.as_dict()
+    for name, value in table.items():
+        for other in VALUES:
+            if other is not value:
+                witness = Interpretation.from_mapping({**table, name: other.symbol})
+                yield _with_leaf(tree, leaf._replace(witness=witness))
+
+
+@pytest.fixture(scope="module")
+def corpus_refutations(corpus):
+    return [r for r in (refute(AntiSequent3(*s.components)) for s in corpus) if r]
+
+
+def test_checker_agrees_with_reference(corpus_refutations):
+    verdicts = set()
+    for r in corpus_refutations:
+        for tree in [r, *refutation_mutants(r), *_witness_variants(r)]:
+            verdict = check_refutation(tree)
+            assert verdict == _reference_check_refutation(tree), tree
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_checker_evaluates_the_leaf_only(corpus_refutations, monkeypatch):
+    # every chain that reaches the witness test costs one truth-table call
+    import luk3.antisequent as antisequent
+
+    calls = 0
+    real = antisequent.tt_sequent_true
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(antisequent, "tt_sequent_true", counting)
+    for r in corpus_refutations:
+        for tree in [r, *_witness_variants(r)]:
+            calls = 0
+            check_refutation(tree)
+            assert calls == 1
+
+
+@pytest.mark.parametrize("rule", ["~:1@t", "~:4@u", "->:1@t", "~:1@ u", "&:1@t,t,t"])
+def test_rejects_near_miss_rule_names(rule):
+    a = parse_antisequent("![~p ; ; ~p]")
+    result = refute(a)
+    assert result.rule == "~:1@u" and check_refutation(result, a)
+    assert not check_refutation(result._replace(rule=rule), a)
+    assert not _reference_check_refutation(result._replace(rule=rule), a)
 
 
 class TestTextAndDocs:

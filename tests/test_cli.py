@@ -4,14 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import luk3
 
-from luk3.cli import format_certificate, main
+from luk3.cli import main
 from luk3.defaults import brave_proof_from_doc, check_brave_proof, skeptical_proof_from_doc, check_skeptical_proof
-from luk3.sequent import parse_sequent, prove
+from luk3.sequent import parse_sequent
 
 
 @pytest.fixture
@@ -86,7 +87,7 @@ class TestProveRefute:
         assert code == 0
         assert out.splitlines()[0] == "axiom: [p ; p ; p]"
 
-    def test_prove_prints_each_distinct_sequent_once(self, capsys, monkeypatch):
+    def test_prove_prints_each_distinct_sequent_once(self, capsys, monkeypatch, tmp_path):
         import luk3.cli
         import luk3.sequent
 
@@ -118,6 +119,11 @@ class TestProveRefute:
         assert len(printed) == len(set(printed)) == 4
         printed.clear()
         code, _, _ = run(capsys, "prove", "--json", "[ ; ; p -> p | p]")
+        assert code == 0
+        assert len(printed) == len(set(printed)) == 4
+        # the --proof file is the document already built, not a second one
+        printed.clear()
+        code, _, _ = run(capsys, "prove", "[ ; ; p -> p | p]", "--proof", str(tmp_path / "pf"))
         assert code == 0
         assert len(printed) == len(set(printed)) == 4
 
@@ -320,22 +326,16 @@ class TestResourceLimits:
         assert "resource limit" in err
 
 
-def test_format_certificate_round_trips():
-    tree = prove(parse_sequent("[p & q ; p & q ; M (p & q)]"))
-    text = format_certificate(tree)
-    from luk3.sequent import check_proof, proof_from_doc
-
-    assert check_proof(proof_from_doc(json.loads(text)))
-    assert format_certificate(tree) == text  # byte-stable
-
-
-def test_format_certificate_rejects_mutants():
+def test_rejected_certificate_leaves_no_file(capsys, monkeypatch, tmp_path):
+    import luk3.cli
     from mutation import proof_mutants
 
-    tree = prove(parse_sequent("[p & q ; p & q ; M (p & q)]"))
-    mutant = next(proof_mutants(tree))
-    with pytest.raises(ValueError):
-        format_certificate(mutant)
+    real = luk3.cli.prove
+    monkeypatch.setattr(luk3.cli, "prove", lambda s: next(proof_mutants(real(s))))
+    path = tmp_path / "pf.json"
+    assert (run(capsys, "prove", "[p & q ; p & q ; M (p & q)]", "--proof", str(path))
+            == (2, "", "error: malformed certificate\n"))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -371,6 +371,7 @@ THEORIES = {
     "none": "fact: a.\ndefault: a : ~b / L b.\n",
     "blocked": "fact: a.\nfact: ~c.\ndefault: a : b, c / b.\ndefault: a : ~b / ~b.\n",
     "dup": "fact: a.\nfact: a.\ndefault: a : b / b.\ndefault: a : ~b / ~b.\n",
+    "forkc": "fact: a.\ndefault: a : b / b.\ndefault: a : ~b / ~b.\ndefault: M b : c / c.\n",
 }
 
 
@@ -481,3 +482,21 @@ def test_json_changes_stdout_only(capsys, tmp_path, argv):
         if cert.exists():
             cert.unlink()
     assert seen[0] == seen[1]
+
+
+# The --proof file of each certificate kind, byte for byte, as tests/golden
+# holds it.
+GOLDEN_PROOFS = {
+    "prove": ["prove", "[p, q, r ; p, q ; (p & q) | M r]"],
+    "refute": ["refute", "![p, q ; p ; q & r | ~p]"],
+    "brave": ["brave", "{forkc}", "--in", "M ~b"],
+    "skeptical": ["skeptical", "{forkc}", "--goals", "a"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PROOFS))
+def test_golden_proof_file(capsys, tmp_path, name):
+    cert = tmp_path / "cert.json"
+    code, _, err = run(capsys, *_theory_argv(tmp_path, GOLDEN_PROOFS[name]), "--proof", str(cert))
+    assert (code, err) == (0, "")
+    assert cert.read_bytes() == (Path(__file__).parent / "golden" / f"{name}.json").read_bytes()
