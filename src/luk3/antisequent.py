@@ -13,8 +13,10 @@ The rules are not invertible, but search does not backtrack: refutability is
 decided by ``prove`` on the matching sequent, and when that fails its
 countermodel falsifies every node of the chain, so committing each principal
 to its arguments' values under the countermodel always leads to an
-anti-axiom.  ``check_refutation`` replays the chain without that model: it
-checks each rule step and the leaf, whose witness alone is evaluated.
+anti-axiom.  The chain decomposes the deepest formula first, so it is
+linear in the size of the root.  ``check_refutation`` replays the chain
+without that model: it checks each rule step and the leaf, whose witness
+alone is evaluated.
 ``RefutationTree`` and ``RefutationFailure`` are immutable named tuples.
 """
 
@@ -45,7 +47,6 @@ from .sequent import (
     parse_component_fields,
     print_sequent,
     prove,
-    select_principal,
 )
 from .syntax import ARITY, Atom, Formula, TokenParser, children, connective, tokenize
 
@@ -158,14 +159,15 @@ def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> Refutatio
     """The refutation chain of ``a`` guided by the countermodel of
     ``failure``, the failed proof of ``as_sequent(a)``.
 
-    Each principal (chosen as in proof search) is committed to the tuple of
-    its arguments' values under the countermodel.  The countermodel falsifies
-    the root, and a tuple it gives keeps falsifying the premise, so every
-    tuple is admissible and the atomic leaf has a witness.
+    Each principal is committed to the tuple of its arguments' values under
+    the countermodel.  The countermodel falsifies the root, and a tuple it
+    gives keeps falsifying the premise, so every tuple is admissible and the
+    atomic leaf has a witness.  Principals are taken outermost first
+    (``_outermost``).
     """
     model = failure_countermodel(failure, as_sequent(a))
     steps = []
-    while (selected := select_principal(a)) is not None:
+    while (selected := _outermost(a)) is not None:
         principal, position = selected
         values = tuple(evaluate(arg, model) for arg in children(principal))
         steps.append((a, _rule_name(connective(principal), position, values)))
@@ -174,6 +176,23 @@ def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> Refutatio
     for conclusion, rule in reversed(steps):
         tree = RefutationTree(conclusion, rule, premise=tree)
     return tree
+
+
+def _outermost(a: AntiSequent3) -> tuple[Formula, int] | None:
+    """The deepest non-atomic formula and its least position, or None; ties
+    go to the canonically least formula.  An anti-rule inserts each argument
+    into two components, so taking the deepest first inserts every
+    subformula into all its components before it is decomposed, and none is
+    decomposed twice: the chain is linear in the size of ``a``."""
+    best = None
+    for position, comp in enumerate(a, 1):
+        for f in comp:
+            if isinstance(f, Atom):
+                continue
+            rank = (-f._depth, f._key)
+            if best is None or rank < best_rank:
+                best, best_rank = (f, position), rank
+    return best
 
 
 def countermodel_of(tree: RefutationTree) -> Interpretation:

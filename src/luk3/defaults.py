@@ -389,7 +389,6 @@ class ConstraintEvidence(NamedTuple):
 
 class ExtensionVerdict(NamedTuple):
     extension: ExtensionBasis
-    fired_indices: tuple[int, ...]
     evidence: tuple[ConstraintEvidence, ...]
     satisfies_constraints: bool
     goal: Formula | None = None
@@ -429,7 +428,6 @@ def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailu
     Raises SearchLimitError when the 2^n candidates exceed
     DEFAULT_MAX_STATES.
     """
-    index_of = {d: i for i, d in enumerate(query.delta)}
     transcript = []
     verdicts = []
     for record, e in _candidates(DefaultTheory(query.gamma, query.delta)):
@@ -448,8 +446,7 @@ def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailu
                     break
             if goal is None:
                 return SkepticalFailure(query, e)
-        verdicts.append(ExtensionVerdict(
-            e, tuple(index_of[d] for d in e.fired), evidence, satisfied, goal, goal_proof))
+        verdicts.append(ExtensionVerdict(e, evidence, satisfied, goal, goal_proof))
     return SkepticalProof(query, tuple(transcript), tuple(verdicts))
 
 
@@ -539,10 +536,10 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
     The checker runs the engine's candidate sweep with truth-table
     entailment (no proof search): every transcript record must equal the
     sweep's, and the verdicts must be the sweep's extensions in rank order,
-    each with its basis, its fired defaults in firing order, and their
-    indices.  Constraint and goal entailments are decided by replaying the
-    evidence (each proof or refutation must check against the extension's
-    basis), and each satisfying extension must carry a goal proof.
+    each with its basis and its fired defaults in firing order.  Constraint
+    and goal entailments are decided by replaying the evidence (each proof
+    or refutation must check against the extension's basis), and each
+    satisfying extension must carry a goal proof.
     Raises SearchLimitError, as the engine does, when the 2^n candidates
     exceed DEFAULT_MAX_STATES.
     """
@@ -553,7 +550,6 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
         return False
     if len(proof.transcript) != 1 << len(q.delta):
         return False
-    index_of = {d: i for i, d in enumerate(q.delta)}
     constraints = tuple(sorted(q.sigma, key=_constraint_key))
     verdicts = iter(proof.verdicts)
     for record, (expected, e) in zip(proof.transcript, _candidates(theory, _sem_entailed)):
@@ -563,7 +559,6 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
             continue
         verdict = next(verdicts, None)
         if (verdict is None or verdict.extension != e
-                or verdict.fired_indices != tuple(index_of[d] for d in e.fired)
                 or tuple(ev.constraint for ev in verdict.evidence) != constraints):
             return False
         for ev in verdict.evidence:
@@ -661,6 +656,7 @@ def brave_proof_from_doc(doc) -> BraveProof:
 
 def skeptical_proof_to_doc(proof: SkepticalProof) -> dict:
     q = proof.query
+    index_of = {d: i for i, d in enumerate(q.delta)}
     verdicts = []
     for v in proof.verdicts:
         evidence = []
@@ -673,7 +669,7 @@ def skeptical_proof_to_doc(proof: SkepticalProof) -> dict:
             evidence.append(ed)
         vd: dict = {
             "basis": _formula_list_doc(v.extension.basis),
-            "fired": list(v.fired_indices),
+            "fired": [index_of[d] for d in v.extension.fired],
             "constraints": evidence,
             "satisfies_constraints": v.satisfies_constraints,
         }
@@ -727,7 +723,7 @@ def skeptical_proof_from_doc(doc) -> SkepticalProof:
                        for r in _list(doc, "transcript", dict, "skeptical"))
     verdicts = []
     for vd in _list(doc, "extensions", dict, "skeptical"):
-        fired_indices = _indices(vd, len(delta))
+        fired = tuple(delta[i] for i in _indices(vd, len(delta)))
         evidence = tuple(ConstraintEvidence(
             _constraint(ed.get("constraint")),
             _typed(ed.get("satisfied"), bool, "skeptical"),
@@ -735,9 +731,7 @@ def skeptical_proof_from_doc(doc) -> SkepticalProof:
             refutation=refutation_from_doc(ed["refutation"]) if "refutation" in ed else None,
         ) for ed in _list(vd, "constraints", dict, "skeptical"))
         verdicts.append(ExtensionVerdict(
-            ExtensionBasis(_formulas(vd, "basis", "skeptical"),
-                           tuple(delta[i] for i in fired_indices)),
-            fired_indices,
+            ExtensionBasis(_formulas(vd, "basis", "skeptical"), fired),
             evidence,
             _typed(vd.get("satisfies_constraints"), bool, "skeptical"),
             goal=parse_formula(_typed(vd["goal"], str, "skeptical")) if "goal" in vd else None,

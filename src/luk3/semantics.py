@@ -10,8 +10,9 @@ means: every interpretation making all premises t makes the goal t.
 Everything here works by exhaustive enumeration of interpretations and serves
 as ground truth for the sequent and anti-sequent calculi.
 
-``Verdict`` is an immutable named tuple; ``Interpretation`` is an immutable
-slotted record that keeps a lookup table beside its sorted assignment.
+``Verdict`` is an immutable named tuple; ``Interpretation`` is a record on
+the formulas' frozen-record base that keeps a lookup table beside its sorted
+assignment.
 ``fractions`` is imported only when ``TruthValue.num`` is first read, so
 importing the package does not pay for it.
 """
@@ -23,7 +24,7 @@ from functools import total_ordering
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .syntax import And, Atom, Cert, Formula, Impl, Not, Or, Poss, atoms
+from .syntax import And, Atom, Cert, Formula, Impl, Not, Or, Poss, _Record, atoms
 
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
@@ -125,11 +126,11 @@ def apply_connective(conn: str, args: tuple[TruthValue, ...]) -> TruthValue:
     return _TABLES[conn](*args)
 
 
-class Interpretation:
+class Interpretation(_Record):
     """Total map from a finite atom set to truth values.
 
-    An immutable record of one field, ``assignment``, sorted by atom name;
-    it compares and hashes as that field, and keeps a lookup table beside it.
+    An immutable record of one field, ``assignment``, sorted by atom name,
+    with a lookup table beside it in a private slot.
     """
 
     __slots__ = ("assignment", "_table")
@@ -142,26 +143,6 @@ class Interpretation:
             raise ValueError("duplicate atom in interpretation")
         _set_assignment(self, pairs)
         _set_table(self, table)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.assignment == other.assignment
-
-    def __hash__(self) -> int:
-        return hash((self.assignment,))
-
-    def __repr__(self) -> str:
-        return f"Interpretation(assignment={self.assignment!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.assignment,)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, "TruthValue | str"]) -> "Interpretation":

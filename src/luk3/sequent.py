@@ -15,10 +15,10 @@ search needs no backtracking, and reaching a non-axiomatic atomic sequent
 refutes the root definitively.
 
 Sequents are tuples of their three components.  ``ProofFailure`` and
-``RuleInstance`` are immutable named tuples; ``ProofTree`` is an immutable
-slotted class with the same value semantics, because ``check_proof`` marks
-each node it has checked in a private slot of the node, which a tuple has
-no room for.
+``RuleInstance`` are immutable named tuples; ``ProofTree`` is a record on
+the formulas' frozen-record base, with the same value semantics, because
+``check_proof`` marks each node it has checked in a private slot of the
+node, which a tuple has no room for.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .syntax import (
     Formula,
     ParseError,
     TokenParser,
+    _Record,
     atoms,
     children,
     connective,
@@ -232,14 +233,14 @@ def select_principal(s: ComponentTriple) -> tuple[Formula, int] | None:
     return best
 
 
-class ProofTree:
+class ProofTree(_Record):
     """A proof node: its conclusion, the rule that closes it (``axiom`` or
     ``conn:position``) and the subproofs of the rule's premises.
 
-    An immutable record that compares and hashes as its field tuple.  It is
-    a slotted class, not a tuple, so that ``check_proof`` can mark a checked
-    node in its private ``_trusted`` slot.  Equality, hash, repr and pickling
-    ignore the mark, so a copy starts unchecked.
+    An immutable record.  It is a slotted class, not a tuple, so that
+    ``check_proof`` can mark a checked node in its private ``_trusted``
+    slot, which equality, hash, repr and pickling ignore: a copy starts
+    unchecked.
     """
 
     __slots__ = ("conclusion", "rule", "premises", "_trusted")
@@ -251,28 +252,6 @@ class ProofTree:
         _set_rule(self, rule)
         _set_premises(self, premises)
         _set_trusted(self, False)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.conclusion, self.rule, self.premises)
-                == (other.conclusion, other.rule, other.premises))
-
-    def __hash__(self) -> int:
-        return hash((self.conclusion, self.rule, self.premises))
-
-    def __repr__(self) -> str:
-        return (f"ProofTree(conclusion={self.conclusion!r}, rule={self.rule!r}, "
-                f"premises={self.premises!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.conclusion, self.rule, self.premises)
 
 
 _set_conclusion = ProofTree.conclusion.__set__

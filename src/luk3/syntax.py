@@ -27,10 +27,11 @@ duplicate is dropped.
 
 Formula nodes are hash-consed: every constructor looks the node up in a weak
 table, so equal live formulas are one object, and set and dict lookups
-succeed on identity.  Each node stores its hash and its sort key, so neither
-depends on the formula's size.  ``Default`` and ``DefaultTheory`` are
-immutable named tuples that validate their fields on construction and in
-``_replace``.
+succeed on identity.  Each node stores its hash, its sort key and its depth,
+so none of them depends on the formula's size.  Formulas, ``ProofTree`` and
+``Interpretation`` share one frozen-record base, ``_Record``.  ``Default``
+and ``DefaultTheory`` are immutable named tuples that validate their fields
+on construction and in ``_replace``.
 """
 
 from __future__ import annotations
@@ -90,32 +91,26 @@ class DuplicateWarning(UserWarning):
 # Formulas
 
 
-class Formula:
-    """Base class of the formula AST: immutable, interned nodes.
+class _Record:
+    """Frozen value record: the base of formulas, proof trees and
+    interpretations.  It equals only a record of its own class with equal
+    fields (those in ``__match_args__``; other slots are private), hashes as
+    its field tuple, prints like a dataclass and pickles through its
+    constructor.  Assignment and deletion raise ``FrozenInstanceError``."""
 
-    Constructing a node equal to a live one returns that object.  Each node
-    stores its hash, which is ``hash`` of its field tuple, and its sort key;
-    both are built in O(1) from the children's stored values.
-    """
-
-    __slots__ = ("_hash", "_key", "__weakref__")
+    __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # a node made without its constructor
-            return hash(self._fields())
-
     def __eq__(self, other):
-        if self is other:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return hash(self) == hash(other) and self._fields() == other._fields()
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -129,14 +124,38 @@ class Formula:
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Formula(_Record):
+    """Base class of the formula AST: immutable, interned nodes.
+
+    Constructing a node equal to a live one returns that object, and a copy
+    is the node itself.  Each node stores its hash, its sort key and its
+    depth; all three are built in O(1) from the children's stored values.
+    """
+
+    __slots__ = ("_hash", "_key", "_depth", "__weakref__")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # a node made without its constructor
+            return super().__hash__()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return hash(self) == hash(other) and self._fields() == other._fields()
+
     def __copy__(self):
         return self
 
     def __deepcopy__(self, memo):
         return self
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 #: Live formula nodes by (class, *fields), held weakly.
@@ -148,15 +167,16 @@ def _interned_node(key: tuple) -> Formula | None:
     return None if ref is None else ref()
 
 
-def _intern(key: tuple, order: tuple) -> Formula:
-    """A new node of class ``key[0]`` with fields ``key[1:]`` and sort key
-    ``order``, entered in the table."""
+def _intern(key: tuple, order: tuple, depth: int) -> Formula:
+    """A new node of class ``key[0]`` with fields ``key[1:]``, sort key
+    ``order`` and depth ``depth``, entered in the table."""
     cls, *values = key
     node = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         object.__setattr__(node, name, value)
     object.__setattr__(node, "_hash", hash(tuple(values)))
     object.__setattr__(node, "_key", order)
+    object.__setattr__(node, "_depth", depth)
     _interned[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
@@ -176,7 +196,7 @@ class Atom(Formula):
         if node is None:
             if not _ATOM_RE.fullmatch(name):
                 raise ValueError(f"invalid atom name {name!r}")
-            node = _intern(key, (0, name))
+            node = _intern(key, (0, name), 0)
         return node
 
 
@@ -188,7 +208,7 @@ class _Unary(Formula):
         key = (cls, arg)
         node = _interned_node(key)
         if node is None:
-            node = _intern(key, (_RANK[cls], arg._key))
+            node = _intern(key, (_RANK[cls], arg._key), arg._depth + 1)
         return node
 
 
@@ -200,7 +220,8 @@ class _Binary(Formula):
         key = (cls, left, right)
         node = _interned_node(key)
         if node is None:
-            node = _intern(key, (_RANK[cls], left._key, right._key))
+            node = _intern(key, (_RANK[cls], left._key, right._key),
+                           max(left._depth, right._depth) + 1)
         return node
 
 

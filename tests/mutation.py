@@ -88,11 +88,8 @@ def skeptical_mutants(proof: SkepticalProof) -> Iterator[SkepticalProof]:
             basis=verdict.extension.basis | {_MUT}))
         yield swap(bumped)
         fired = verdict.extension.fired
-        if len(fired) >= 2:  # the firing order alone, then with the indices as a document has them
-            reordered = verdict.extension._replace(fired=fired[::-1])
-            yield swap(verdict._replace(extension=reordered))
-            yield swap(verdict._replace(extension=reordered,
-                                        fired_indices=verdict.fired_indices[::-1]))
+        if len(fired) >= 2:  # the firing order alone
+            yield swap(verdict._replace(extension=verdict.extension._replace(fired=fired[::-1])))
         yield swap(verdict._replace(satisfies_constraints=not verdict.satisfies_constraints))
         for j, ev in enumerate(verdict.evidence):
             yield swap(verdict._replace(evidence=verdict.evidence[:j]

@@ -182,6 +182,22 @@ def test_refute_is_linear_in_chain_length(pool, monkeypatch):
             assert calls == 0, f
 
 
+@pytest.mark.parametrize("prefix, per_level", [("~", 2), ("L", 2), ("~M", 4)])
+@pytest.mark.parametrize("n", [1, 2, 8, 12])
+def test_chain_is_linear_in_nesting_depth(prefix, per_level, n):
+    # principals are taken deepest first, so each subformula is inserted into
+    # both of its components before it is decomposed, and none is redone
+    a = parse_antisequent("![ ; ; " + prefix * n + "p]")
+    result = refute(a)
+    steps = 0
+    node = result
+    while node.premise is not None:
+        steps += 1
+        node = node.premise
+    assert steps == per_level * n - 1
+    assert check_refutation(result, a)
+
+
 def test_check_reads_each_principal_off(corpus, monkeypatch):
     # the checker applies one anti-rule per step, to the formula the step's
     # component loses, however many formulas share the connective

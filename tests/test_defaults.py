@@ -367,7 +367,7 @@ class TestChain:
         # the checker sweeps with the never-fires cut, as the engine does
         assert len(calls) == 2 * decided
         mutants = list(skeptical_mutants(proof))
-        assert len(mutants) == 268  # 264, plus two reorderings for each of 2 verdicts firing two
+        assert len(mutants) == 266  # 264, plus one reordering for each of 2 verdicts firing two
         assert not any(check_skeptical_proof(m) for m in mutants)
 
     def test_brave_agrees_with_oracle(self):
