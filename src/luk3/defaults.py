@@ -5,18 +5,21 @@ if A is derivable and none of ~B1, ..., ~Bn, ~L C are derivable, assert M C
 (the conclusion is held possible, not certain).  The firing operator iterates
 that reading with the consistency checks made against a fixed context basis;
 extensions are its fixed points.  Every fixed point equals the closure of W
-plus the M-consequents of its fired defaults, so one rank-ordered sweep of
-the 2^n fired subsets answers every query: enumeration keeps one extension
-per subset the operator reproduces, brave queries (is there an extension
-containing all of Sigma and none of Theta?) stop at the first that
-qualifies, and skeptical queries (does every constraint-satisfying extension
-contain a goal?) check each.
+plus the M-consequents of its fired defaults, so one search over the fired
+subsets answers every query.  It decides each default IN or OUT, cuts every
+branch that entailment's monotonicity shows holds no fixed point, and runs
+the operator at the remaining leaves, which come out in increasing rank:
+enumeration keeps one extension per subset the operator reproduces, brave
+queries (is there an extension containing all of Sigma and none of Theta?)
+stop at the first that qualifies, and skeptical queries (does every
+constraint-satisfying extension contain a goal?) check each.
 Both produce certificates made of sequent proofs and anti-sequent
 refutations that an independent checker replays without rerunning any
-search; a brave certificate chooses each block reason from the final basis.
-The operator and the sweep take their entailment test as an argument: the
+search; a brave certificate chooses each block reason from the final basis,
+and a skeptical one lists every rank of the 2^n subsets, marking the kept ones.
+The operator and the search take their entailment test as an argument: the
 engine decides entailment with the sequent calculus, and the skeptical
-checker runs the same sweep with truth-table entailment, so it never calls
+checker runs the same search with truth-table entailment, so it never calls
 the calculus it audits; both checkers decide each entailment that a
 certificate gives evidence for by replaying that evidence.
 Queries, results and certificate parts are immutable named tuples.
@@ -90,7 +93,9 @@ DEFAULT_MAX_STATES = 10 ** 6
 
 
 class SearchLimitError(RuntimeError):
-    """The candidate sweep of a query exceeds its state budget."""
+    """A query exceeds its state budget: its search reaches more than
+    DEFAULT_MAX_STATES states, or its skeptical transcript would list more
+    than DEFAULT_MAX_STATES ranks."""
 
 
 class ExtensionBasis(NamedTuple):
@@ -188,41 +193,116 @@ class CandidateRecord(NamedTuple):
     kept: bool
 
 
-def _candidates(theory: DefaultTheory,
-                entailed=_entailed) -> Iterator[tuple[CandidateRecord, ExtensionBasis | None]]:
-    """The sweep every query and the skeptical checker run: each rank's
-    transcript record, with its extension when the operator reproduces the
-    candidate's fired set, else None.  Closure-equivalent candidates fire
-    the same set, so no two kept ranks share a closure.  Entailment is
-    monotone, so a default whose prerequisite the facts plus every
-    M-consequent do not entail, or that the facts alone block, fires in no
-    candidate: subsets containing it are rejected without the operator.
+class _Search:
+    """The branch-and-bound search every query and the skeptical checker run.
+
+    Iterating yields ``(rank, extension)`` for each rank whose fired subset
+    the firing operator reproduces, in increasing rank order; ``states``
+    counts the nodes reached so far, leaves plus cuts.  Defaults are decided
+    from the highest index down, OUT before IN.  With IN and the still open
+    defaults, every kept subset S below a node has
+    ``basis(IN) <= basis(S) <= basis(IN + open)``, and entailment is
+    monotone, so a node is cut when an IN default is blocked by
+    ``basis(IN)`` or has a prerequisite that ``basis(IN + open)`` does not
+    entail, or when an OUT default has a prerequisite that ``basis(IN)``
+    entails and no blocking formula that ``basis(IN + open)`` entails (it
+    would fire).  Each leaf runs ``gamma`` as a sweep of all ranks would.
+    Closure-equivalent candidates fire the same set, so no two kept ranks
+    share a closure.  Raises SearchLimitError once the states exceed
+    DEFAULT_MAX_STATES.
     """
-    n = len(theory.defaults)
-    if 1 << n > DEFAULT_MAX_STATES:
-        raise SearchLimitError(f"candidate sweep of 2^{n} exceeds {DEFAULT_MAX_STATES} states")
-    everything = candidate_basis(theory, theory.defaults)
-    facts = frozenset(theory.facts)
-    never_fires = sum(1 << i for i, d in enumerate(theory.defaults)
-                      if not entailed(everything, d.prereq) or not _consistent(facts, d, entailed))
-    for rank in range(1 << n):
-        indices = tuple(i for i in range(n) if rank >> i & 1)
-        ok = False
-        if not rank & never_fires:
-            subset = tuple(theory.defaults[i] for i in indices)
-            g = gamma(theory, ExtensionBasis(candidate_basis(theory, subset), subset), entailed)
-            ok = set(g.fired) == set(subset)
-        yield CandidateRecord(rank, indices, ok), g if ok else None
+
+    def __init__(self, theory: DefaultTheory, entailed=_entailed):
+        self.theory = theory
+        self.entailed = entailed
+        self.states = 0
+        self.blocking = tuple(map(_blocking_formulas, theory.defaults))
+        self.consequents = tuple(Poss(d.consequent) for d in theory.defaults)
+        # the M-consequents of the defaults below each index: the open ones
+        self.below = tuple(frozenset(self.consequents[:k])
+                           for k in range(len(theory.defaults) + 1))
+
+    def __iter__(self) -> Iterator[tuple[int, ExtensionBasis]]:
+        n = len(self.theory.defaults)
+        facts = frozenset(self.theory.facts)
+        return self._visit(n, (), (), facts, facts | self.below[n])
+
+    def _reach(self) -> None:
+        self.states += 1
+        if self.states > DEFAULT_MAX_STATES:
+            raise SearchLimitError(f"default search exceeds {DEFAULT_MAX_STATES} states")
+
+    def _dead(self, k: int, low: frozenset[Formula], high: frozenset[Formula]) -> bool:
+        """IN default k fires in no kept subset between ``low`` and ``high``.
+        A prerequisite that ``low`` entails needs no check against the
+        larger ``high``."""
+        entailed = self.entailed
+        prereq = self.theory.defaults[k].prereq
+        if not (entailed(low, prereq) or entailed(high, prereq)):
+            return True
+        for f in self.blocking[k]:
+            if entailed(low, f):
+                return True
+        return False
+
+    def _forced(self, k: int, low: frozenset[Formula], high: frozenset[Formula]) -> bool:
+        """OUT default k fires in every kept subset between ``low`` and ``high``."""
+        entailed = self.entailed
+        if not entailed(low, self.theory.defaults[k].prereq):
+            return False
+        for f in self.blocking[k]:
+            if entailed(high, f):
+                return False
+        return True
+
+    def _cut(self, inside: tuple[int, ...], outside: tuple[int, ...],
+             low: frozenset[Formula], high: frozenset[Formula]) -> bool:
+        for k in inside:
+            if self._dead(k, low, high):
+                return True
+        for k in outside:
+            if self._forced(k, low, high):
+                return True
+        return False
+
+    def _visit(self, k: int, inside: tuple[int, ...], outside: tuple[int, ...],
+               low: frozenset[Formula], high: frozenset[Formula]
+               ) -> Iterator[tuple[int, ExtensionBasis]]:
+        """The subtree below an uncut node where the defaults from index
+        ``k`` up are decided, the ``inside`` ones IN and the ``outside`` ones
+        OUT, ``low = basis(IN)`` and ``high = basis(IN + open)``.  The node
+        was not cut, so a child checks them again only when its move changed
+        a basis."""
+        if k == 0:
+            self._reach()
+            subset = tuple(self.theory.defaults[i] for i in inside)
+            g = gamma(self.theory, ExtensionBasis(low, subset), self.entailed)
+            if set(g.fired) == set(subset):
+                yield sum(1 << i for i in inside), g
+            return
+        k -= 1
+        out_high = low | self.below[k]
+        if (self._forced(k, low, out_high)
+                or len(out_high) < len(high) and self._cut(inside, outside, low, out_high)):
+            self._reach()
+        else:
+            yield from self._visit(k, inside, (k,) + outside, low, out_high)
+        in_low = low | {self.consequents[k]}
+        if (self._dead(k, in_low, high)
+                or len(in_low) > len(low) and self._cut(inside, outside, in_low, high)):
+            self._reach()
+        else:
+            yield from self._visit(k, (k,) + inside, outside, in_low, high)
 
 
 def extensions(theory: DefaultTheory) -> tuple[ExtensionBasis, ...]:
     """All extensions, in candidate-rank order: one per fired subset that
-    the firing operator reproduces.
+    the firing operator reproduces, found by the branch-and-bound search.
 
-    Raises SearchLimitError when the 2^n candidates exceed
-    DEFAULT_MAX_STATES.
+    Raises SearchLimitError when the search reaches more than
+    DEFAULT_MAX_STATES states.
     """
-    return tuple(e for _, e in _candidates(theory) if e is not None)
+    return tuple(e for _, e in _Search(theory))
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +410,23 @@ class BraveFailure(NamedTuple):
 
 
 def brave_prove(query: BraveSequent) -> BraveProof | BraveFailure:
-    """First extension (one per reproduced fired subset) that entails every
-    Sigma formula and no Theta formula, or failure after all 2^n ranks.
+    """First extension in rank order (one per reproduced fired subset) that
+    entails every Sigma formula and no Theta formula, or failure, with the
+    number of states the search reached, once the search is exhausted.
 
     The certificate fires the extension's defaults in firing order, each
     prerequisite proved from the basis replayed so far, then blocks every
     other default for the first reason that holds of the final basis:
     prerequisite not entailed, else the first entailed ~Bj, else ~L C.
-    Raises SearchLimitError when the 2^n candidates exceed
-    DEFAULT_MAX_STATES, and ValueError on a repeated default.
+    Raises SearchLimitError when the search reaches more than
+    DEFAULT_MAX_STATES states, and ValueError on a repeated default.
     """
-    for _, e in _candidates(DefaultTheory(query.gamma, query.delta)):
-        if (e is not None and all(_proof(e.basis, f) for f in query.sigma)
+    search = _Search(DefaultTheory(query.gamma, query.delta))
+    for _, e in search:
+        if (all(_proof(e.basis, f) for f in query.sigma)
                 and not any(_proof(e.basis, f) for f in query.theta)):
             return _brave_certificate(query, e)
-    return BraveFailure(query, 1 << len(query.delta))
+    return BraveFailure(query, search.states)
 
 
 def _brave_certificate(query: BraveSequent, e: ExtensionBasis) -> BraveProof:
@@ -417,23 +499,38 @@ def _constraint_evidence(e: ExtensionBasis, c: SignedConstraint) -> ConstraintEv
                               refutation=_refutation(e.basis, c.formula))
 
 
+def _transcript(n: int, kept: set[int]) -> tuple[CandidateRecord, ...]:
+    """One record for every candidate rank of ``n`` defaults, marking the
+    ``kept`` ranks."""
+    return tuple(CandidateRecord(r, tuple(i for i in range(n) if r >> i & 1), r in kept)
+                 for r in range(1 << n))
+
+
+def _check_transcript_size(n: int) -> None:
+    """SearchLimitError when a transcript of the 2^n ranks exceeds the budget."""
+    if 1 << n > DEFAULT_MAX_STATES:
+        raise SearchLimitError(f"transcript of 2^{n} candidates exceeds {DEFAULT_MAX_STATES} states")
+
+
 def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailure:
     """Check every constraint-satisfying extension for a goal.
 
+    The extensions come from the branch-and-bound search, in rank order.
     Succeeds when each such extension entails some Theta formula; the
-    certificate carries the full candidate transcript, per-extension
-    constraint evidence, and one goal proof per satisfying extension.  Fails
-    with the first counterexample extension otherwise (in particular, an
-    empty Theta fails as soon as any extension satisfies the constraints).
-    Raises SearchLimitError when the 2^n candidates exceed
-    DEFAULT_MAX_STATES.
+    certificate carries the full candidate transcript (one record per rank
+    of the 2^n subsets, kept exactly for the ranks the search yields),
+    per-extension constraint evidence, and one goal proof per satisfying
+    extension.  Fails with the first counterexample extension otherwise (in
+    particular, an empty Theta fails as soon as any extension satisfies the
+    constraints).  Raises SearchLimitError, before searching, when the 2^n
+    transcript records exceed DEFAULT_MAX_STATES.
     """
-    transcript = []
+    theory = DefaultTheory(query.gamma, query.delta)
+    _check_transcript_size(len(query.delta))
+    kept = set()
     verdicts = []
-    for record, e in _candidates(DefaultTheory(query.gamma, query.delta)):
-        transcript.append(record)
-        if e is None:
-            continue
+    for rank, e in _Search(theory):
+        kept.add(rank)
         evidence = tuple(_constraint_evidence(e, c)
                          for c in sorted(query.sigma, key=_constraint_key))
         satisfied = all(ev.satisfied for ev in evidence)
@@ -447,7 +544,7 @@ def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailu
             if goal is None:
                 return SkepticalFailure(query, e)
         verdicts.append(ExtensionVerdict(e, evidence, satisfied, goal, goal_proof))
-    return SkepticalProof(query, tuple(transcript), tuple(verdicts))
+    return SkepticalProof(query, _transcript(len(query.delta), kept), tuple(verdicts))
 
 
 DefaultProof = BraveProof | SkepticalProof
@@ -526,22 +623,23 @@ def check_brave_proof(proof: BraveProof) -> bool:
 
 @cache
 def _sem_entailed(basis: frozenset[Formula], f: Formula) -> bool:
-    """Entailment by truth tables: the route of the skeptical checker's sweep."""
+    """Entailment by truth tables: the route of the skeptical checker's search."""
     return bool(tt_entails(basis, f))
 
 
 def check_skeptical_proof(proof: SkepticalProof) -> bool:
     """Audit a skeptical certificate against the semantics.
 
-    The checker runs the engine's candidate sweep with truth-table
-    entailment (no proof search): every transcript record must equal the
-    sweep's, and the verdicts must be the sweep's extensions in rank order,
-    each with its basis and its fired defaults in firing order.  Constraint
-    and goal entailments are decided by replaying the evidence (each proof
-    or refutation must check against the extension's basis), and each
-    satisfying extension must carry a goal proof.
-    Raises SearchLimitError, as the engine does, when the 2^n candidates
-    exceed DEFAULT_MAX_STATES.
+    The transcript must list every rank of the 2^n subsets with its
+    indices.  The checker then runs the engine's branch-and-bound search
+    with truth-table entailment (no proof search): the ranks it yields must
+    be exactly those the transcript keeps, and the verdicts must be its
+    extensions in rank order, each with its basis and its fired defaults in
+    firing order.  Constraint and goal entailments are decided by replaying
+    the evidence (each proof or refutation must check against the
+    extension's basis), and each satisfying extension must carry a goal
+    proof.  Raises SearchLimitError, as the engine does, when the 2^n
+    transcript records exceed DEFAULT_MAX_STATES.
     """
     q = proof.query
     try:
@@ -550,15 +648,16 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
         return False
     if len(proof.transcript) != 1 << len(q.delta):
         return False
+    _check_transcript_size(len(q.delta))
+    kept = [r.rank for r in proof.transcript if r.kept]
+    if tuple(proof.transcript) != _transcript(len(q.delta), set(kept)):
+        return False
     constraints = tuple(sorted(q.sigma, key=_constraint_key))
+    kept_ranks = iter(kept)
     verdicts = iter(proof.verdicts)
-    for record, (expected, e) in zip(proof.transcript, _candidates(theory, _sem_entailed)):
-        if record != expected:
-            return False
-        if e is None:
-            continue
+    for rank, e in _Search(theory, _sem_entailed):
         verdict = next(verdicts, None)
-        if (verdict is None or verdict.extension != e
+        if (next(kept_ranks, None) != rank or verdict is None or verdict.extension != e
                 or tuple(ev.constraint for ev in verdict.evidence) != constraints):
             return False
         for ev in verdict.evidence:
@@ -573,7 +672,7 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
                 return False
         elif verdict.goal is not None or verdict.goal_proof is not None:
             return False
-    return next(verdicts, None) is None
+    return next(verdicts, None) is None and next(kept_ranks, None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,18 @@ def gamma_fired(theory: DefaultTheory, context: frozenset[Formula]):
     return fired, frozenset(basis)
 
 
+def kept_flags(theory: DefaultTheory) -> list[bool]:
+    """For each of the 2^n candidate ranks, in order, whether staged firing
+    against the candidate fires exactly its subset: a sweep with no
+    pruning."""
+    out = []
+    for rank in range(1 << len(theory.defaults)):
+        subset = {d for i, d in enumerate(theory.defaults) if rank >> i & 1}
+        fired, _ = gamma_fired(theory, frozenset(theory.facts) | {Poss(d.consequent) for d in subset})
+        out.append(set(fired) == subset)
+    return out
+
+
 def equivalent(b1: frozenset[Formula], b2: frozenset[Formula]) -> bool:
     return (all(entailed(b2, f) for f in b1)
             and all(entailed(b1, f) for f in b2))

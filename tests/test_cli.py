@@ -32,10 +32,23 @@ def fork_theory(tmp_path):
 
 @pytest.fixture
 def wide_theory(tmp_path):
-    """20 defaults: 2^20 candidates, past the sweep budget."""
+    """20 defaults: a skeptical transcript of 2^20 ranks, past the budget."""
     path = tmp_path / "wide.dl3"
     path.write_text("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(20)),
                     encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def forked_theory(tmp_path, monkeypatch):
+    """20 forked pairs: 2^20 extensions, so the search reaches more states
+    than the budget allows.  The budget is lowered to keep the test fast."""
+    import luk3.defaults
+
+    monkeypatch.setattr(luk3.defaults, "DEFAULT_MAX_STATES", 50)
+    path = tmp_path / "forked.dl3"
+    path.write_text("fact: a.\n" + "".join(f"default: a : z{i} / z{i}.\ndefault: a : ~z{i} / ~z{i}.\n"
+                                           for i in range(20)), encoding="utf-8")
     return str(path)
 
 
@@ -230,8 +243,8 @@ class TestBrave:
         code, out, _ = run(capsys, "brave", str(path), "--in", "M c")
         assert (code, out) == (1, "underivable\n")
 
-    def test_state_limit_is_resource_error(self, capsys, wide_theory):
-        code, out, err = run(capsys, "brave", wide_theory, "--in", "M b0")
+    def test_state_limit_is_resource_error(self, capsys, forked_theory):
+        code, out, err = run(capsys, "brave", forked_theory, "--in", "M b0")
         assert code == 2 and out == ""
         assert "resource limit" in err
 
@@ -322,8 +335,8 @@ class TestResourceLimits:
         assert "resource limit" in err
         assert not path.exists()
 
-    def test_extensions_over_sweep_budget(self, capsys, wide_theory):
-        code, out, err = run(capsys, "extensions", wide_theory)
+    def test_extensions_over_sweep_budget(self, capsys, forked_theory):
+        code, out, err = run(capsys, "extensions", forked_theory)
         assert code == 2 and out == ""
         assert "resource limit" in err
 

@@ -331,14 +331,17 @@ def chain(n_defaults: int) -> DefaultTheory:
 
 
 class TestChain:
-    """Only the chain's first default and the fork ever fire, so the sweep
+    """Only the chain's first default and the fork ever fire, so the search
     stays cheap however long the chain grows."""
 
     def test_underivable_brave_within_default_budget(self):
         t = chain(12)
         result = brave_prove(BraveSequent(t.facts, t.defaults, frozenset({Z}), frozenset()))
         assert isinstance(result, BraveFailure)
-        assert result.states == 1 << 12
+        # two leaves, one per side of the fork, each beside 10 cuts (the
+        # chain's defaults 1 to 9 IN, its default 0 OUT), and the cuts with
+        # both fork defaults OUT and both IN: 24 states of the 2^12 ranks
+        assert result.states == 24
 
     def test_derivable_brave_certificate(self):
         t = chain(12)
@@ -364,7 +367,7 @@ class TestChain:
         decided = len(calls)
         assert isinstance(proof, SkepticalProof)
         assert check_skeptical_proof(proof)
-        # the checker sweeps with the never-fires cut, as the engine does
+        # the checker runs the engine's search, with the same cuts
         assert len(calls) == 2 * decided
         mutants = list(skeptical_mutants(proof))
         assert len(mutants) == 266  # 264, plus one reordering for each of 2 verdicts firing two
@@ -396,14 +399,35 @@ def test_never_fireable_defaults_are_rejected_unswept():
     assert check_skeptical_proof(proof)
 
 
-def test_sweep_budget_covers_every_query():
+def test_sweep_budget_covers_every_query(monkeypatch):
+    # a skeptical transcript lists all 2^20 ranks, past the budget
     t = theory("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(20)))
     with pytest.raises(SearchLimitError):
-        extensions(t)
-    with pytest.raises(SearchLimitError):
         skeptical_decide(SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({A})))
+    # 20 forked pairs have 2^20 extensions, so their search exceeds the
+    # budget; lowered, it is exceeded within a few leaves
+    forked = theory("fact: a.\n" + "".join(f"default: a : z{i} / z{i}.\ndefault: a : ~z{i} / ~z{i}.\n"
+                                           for i in range(20)))
+    monkeypatch.setattr(luk3.defaults, "DEFAULT_MAX_STATES", 50)
     with pytest.raises(SearchLimitError):
-        brave_prove(BraveSequent(t.facts, t.defaults, frozenset({A}), frozenset()))
+        extensions(forked)
+    with pytest.raises(SearchLimitError):
+        brave_prove(BraveSequent(forked.facts, forked.defaults, frozenset({MB}), frozenset()))
+
+
+def test_search_meets_the_wide_theory_targets(monkeypatch):
+    """16 independent defaults give their one extension in at most 17
+    gamma calls, not 2^16; 8 forked pairs keep all 2^8 extensions."""
+    calls = []
+    real = luk3.defaults.gamma
+    monkeypatch.setattr(luk3.defaults, "gamma", lambda *args: calls.append(1) or real(*args))
+    wide = theory("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(16)))
+    (e,) = extensions(wide)
+    assert e.fired == wide.defaults
+    assert len(calls) <= 17
+    forked = theory("fact: a.\n" + "".join(f"default: a : z{i} / z{i}.\ndefault: a : ~z{i} / ~z{i}.\n"
+                                           for i in range(8)))
+    assert len(extensions(forked)) == 256
 
 
 @st.composite
@@ -465,6 +489,8 @@ def test_non_normal_agrees_with_oracles(drawn):
         assert check_brave_proof(brave_proof_from_doc(json.loads(json.dumps(
             brave_proof_to_doc(brave)))))
     if skeptical:
+        # the search keeps exactly the ranks an unpruned sweep keeps
+        assert [r.kept for r in skeptical.transcript] == oracles.kept_flags(t)
         assert check_skeptical_proof(skeptical)
         assert check_skeptical_proof(skeptical_proof_from_doc(json.loads(json.dumps(
             skeptical_proof_to_doc(skeptical)))))
@@ -499,8 +525,11 @@ def _skeptical_sweep_queries(family, count, seed):
 
 def test_skeptical_brave_duality_on_small_sweep(family):
     for t, q in _skeptical_sweep_queries(family, 64, seed=13):
-        assert bool(skeptical_decide(q)) == (not brave_prove(brave_translation(q)))
-        assert bool(skeptical_decide(q)) == oracles.skeptical_holds(t, q.sigma, q.theta)
+        result = skeptical_decide(q)
+        assert bool(result) == (not brave_prove(brave_translation(q)))
+        assert bool(result) == oracles.skeptical_holds(t, q.sigma, q.theta)
+        if result:
+            assert [r.kept for r in result.transcript] == oracles.kept_flags(t)
 
 
 def test_skeptical_checker_never_calls_the_calculus(family, monkeypatch):
