@@ -6,10 +6,11 @@ if A is derivable and none of ~B1, ..., ~Bn, ~L C are derivable, assert M C
 that reading with the consistency checks made against a fixed context basis;
 extensions are its fixed points.  Every fixed point equals the closure of W
 plus the M-consequents of its fired defaults, so one search over the fired
-subsets answers every query.  It decides each default IN or OUT, cuts every
-branch that entailment's monotonicity shows holds no fixed point, and runs
-the operator at the remaining leaves, which come out in increasing rank:
-enumeration keeps one extension per subset the operator reproduces, brave
+subsets answers every query.  It decides each default IN or OUT and cuts
+every branch that entailment's monotonicity shows holds no fixed point; the
+cuts decide every consistency check, so a remaining leaf only checks that
+its IN defaults are grounded.  The leaves come out in increasing rank:
+enumeration keeps one extension per subset whose IN defaults all fire, brave
 queries (is there an extension containing all of Sigma and none of Theta?)
 stop at the first that qualifies, and skeptical queries (does every
 constraint-satisfying extension contain a goal?) check each.
@@ -17,11 +18,11 @@ Both produce certificates made of sequent proofs and anti-sequent
 refutations that an independent checker replays without rerunning any
 search; a brave certificate chooses each block reason from the final basis,
 and a skeptical one lists every rank of the 2^n subsets, marking the kept ones.
-The operator and the search take their entailment test as an argument: the
-engine decides entailment with the sequent calculus, and the skeptical
-checker runs the same search with truth-table entailment, so it never calls
-the calculus it audits; both checkers decide each entailment that a
-certificate gives evidence for by replaying that evidence.
+The search takes its entailment test as an argument: the engine decides
+entailment with the sequent calculus, and the skeptical checker runs the
+same search with truth-table entailment, so it never calls the calculus it
+audits; both checkers decide each entailment that a certificate gives
+evidence for by replaying that evidence.
 Queries, results and certificate parts are immutable named tuples.
 """
 
@@ -73,7 +74,6 @@ __all__ = [
     "brave_proof_from_doc",
     "brave_proof_to_doc",
     "brave_translation",
-    "candidate_basis",
     "check_brave_proof",
     "check_skeptical_proof",
     "closure_equivalent",
@@ -143,32 +143,22 @@ def _blocking_formulas(d: Default) -> tuple[Formula, ...]:
     return tuple(Not(b) for b in d.justifications) + (Not(Cert(d.consequent)),)
 
 
-def _consistent(context_basis: frozenset[Formula], d: Default, entailed) -> bool:
-    return not any(entailed(context_basis, f) for f in _blocking_formulas(d))
-
-
 # ---------------------------------------------------------------------------
 # The firing operator and extensions
 
 
-def gamma(theory: DefaultTheory, context: ExtensionBasis, entailed=_entailed) -> ExtensionBasis:
-    """Least basis closed under firing against the fixed ``context``.
-
-    Starting from the facts, each round fires every default whose
-    prerequisite is entailed by the basis built so far and whose blocking
-    formulas (~Bi and ~L C) are all non-entailed by the context.
-    Converges in at most len(defaults) rounds; the fired defaults are
-    recorded in firing order.  ``entailed(basis, f)`` decides entailment;
-    it defaults to the sequent calculus.
-    """
-    admissible = [d for d in theory.defaults if _consistent(context.basis, d, entailed)]
-    basis = set(theory.facts)
+def _ground(facts: frozenset[Formula], defaults: list[Default], entailed) -> ExtensionBasis:
+    """Staged grounding: starting from the facts, each round fires every one
+    of ``defaults`` not yet fired whose prerequisite is entailed by the basis
+    built so far.  Converges in at most len(defaults) rounds; the fired
+    defaults are recorded in firing order."""
+    basis = set(facts)
     fired: list[Default] = []
     progress = True
     while progress:
         progress = False
         stage = frozenset(basis)
-        for d in admissible:
+        for d in defaults:
             if d not in fired and entailed(stage, d.prereq):
                 basis.add(Poss(d.consequent))
                 fired.append(d)
@@ -176,13 +166,20 @@ def gamma(theory: DefaultTheory, context: ExtensionBasis, entailed=_entailed) ->
     return ExtensionBasis(frozenset(basis), tuple(fired))
 
 
+def gamma(theory: DefaultTheory, context: ExtensionBasis) -> ExtensionBasis:
+    """Least basis closed under firing against the fixed ``context``: the
+    staged grounding of the defaults whose blocking formulas (~Bi and ~L C)
+    are all non-entailed by the context, entailment decided by the sequent
+    calculus.
+    """
+    admissible = [d for d in theory.defaults
+                  if not any(_entailed(context.basis, f) for f in _blocking_formulas(d))]
+    return _ground(theory.facts, admissible, _entailed)
+
+
 def is_extension(theory: DefaultTheory, candidate: ExtensionBasis) -> bool:
     """Fixed-point test: firing against the candidate reproduces its closure."""
     return closure_equivalent(gamma(theory, candidate).basis, candidate.basis)
-
-
-def candidate_basis(theory: DefaultTheory, subset: Iterable[Default]) -> frozenset[Formula]:
-    return frozenset(theory.facts) | {Poss(d.consequent) for d in subset}
 
 
 class CandidateRecord(NamedTuple):
@@ -206,10 +203,15 @@ class _Search:
     ``basis(IN)`` or has a prerequisite that ``basis(IN + open)`` does not
     entail, or when an OUT default has a prerequisite that ``basis(IN)``
     entails and no blocking formula that ``basis(IN + open)`` entails (it
-    would fire).  Each leaf runs ``gamma`` as a sweep of all ranks would.
-    Closure-equivalent candidates fire the same set, so no two kept ranks
-    share a closure.  Raises SearchLimitError once the states exceed
-    DEFAULT_MAX_STATES.
+    would fire).  At an uncut leaf ``low == high == basis(IN)``: each IN
+    default has an entailed prerequisite and no entailed blocking formula,
+    and each OUT default is blocked or has a prerequisite that
+    ``basis(IN)`` does not entail, so the firing operator against
+    ``basis(IN)`` fires IN defaults only.  A leaf therefore grounds just its
+    IN defaults in stages and keeps the subset when all of them fire, with
+    the operator's basis and firing order.  Closure-equivalent candidates
+    fire the same set, so no two kept ranks share a closure.  Raises
+    SearchLimitError once the states exceed DEFAULT_MAX_STATES.
     """
 
     def __init__(self, theory: DefaultTheory, entailed=_entailed):
@@ -275,9 +277,9 @@ class _Search:
         a basis."""
         if k == 0:
             self._reach()
-            subset = tuple(self.theory.defaults[i] for i in inside)
-            g = gamma(self.theory, ExtensionBasis(low, subset), self.entailed)
-            if set(g.fired) == set(subset):
+            g = _ground(self.theory.facts, [self.theory.defaults[i] for i in inside],
+                        self.entailed)
+            if len(g.fired) == len(inside):
                 yield sum(1 << i for i in inside), g
             return
         k -= 1

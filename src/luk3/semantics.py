@@ -1,8 +1,8 @@
 """Model theory of the three-valued base logic.
 
-Truth values are f < u < t with the exact numeric view 0, 1/2, 1.  Negation
-is 1 - x, implication is min(1, 1 - x + y), conjunction and disjunction are
-min and max.  The modalities have the tables L: (f,u,t) -> (f,f,t) and
+Truth values are f < u < t, read as the numbers 0, 1/2, 1.  Negation is
+1 - x, implication is min(1, 1 - x + y), conjunction and disjunction are min
+and max.  The modalities have the tables L: (f,u,t) -> (f,f,t) and
 M: (f,u,t) -> (f,t,t); they coincide with the definable ~(A -> ~A) and
 ~A -> A, which the test suite pins down.  Only t is designated, so entailment
 means: every interpretation making all premises t makes the goal t.
@@ -13,8 +13,6 @@ as ground truth for the sequent and anti-sequent calculi.
 ``Verdict`` is an immutable named tuple; ``Interpretation`` is a record on
 the formulas' frozen-record base that keeps a lookup table beside its sorted
 assignment.
-``fractions`` is imported only when ``TruthValue.num`` is first read, so
-importing the package does not pay for it.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 from .syntax import And, Atom, Cert, Formula, Impl, Not, Or, Poss, _Record, atoms
 
 if TYPE_CHECKING:  # pragma: no cover
-    from fractions import Fraction
-
     from .sequent import Sequent3
 
 __all__ = [
@@ -70,12 +66,6 @@ class TruthValue(Enum):
     @property
     def rank(self) -> int:
         return self.value
-
-    @property
-    def num(self) -> Fraction:
-        """Exact numeric view: f = 0, u = 1/2, t = 1."""
-        from fractions import Fraction  # imported on first use: it pulls in decimal
-        return Fraction(self.value, 2)
 
     @property
     def symbol(self) -> str:

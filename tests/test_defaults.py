@@ -321,6 +321,14 @@ class TestSkeptical:
         assert is_extension(T_FORK, result.counterexample)
 
 
+def count_leaf_groundings(monkeypatch) -> list:
+    """A list that grows by one at each leaf grounding of the search."""
+    calls = []
+    real = luk3.defaults._ground
+    monkeypatch.setattr(luk3.defaults, "_ground", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 def chain(n_defaults: int) -> DefaultTheory:
     """Fact a0, the chain a_i : a_{i+1} / a_{i+1} and the fork a0 : z / z,
     a0 : ~z / ~z; ``n_defaults`` counts the fork's two defaults."""
@@ -360,12 +368,12 @@ class TestChain:
     def test_skeptical_certificate_checks_with_the_engine_sweep(self, monkeypatch):
         t = chain(8)
         q = SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({Poss(Atom("a1"))}))
-        calls = []
-        real = luk3.defaults.gamma
-        monkeypatch.setattr(luk3.defaults, "gamma", lambda *args: calls.append(1) or real(*args))
+        calls = count_leaf_groundings(monkeypatch)
         proof = skeptical_decide(q)
         decided = len(calls)
         assert isinstance(proof, SkepticalProof)
+        # the cuts leave one leaf per extension
+        assert decided == len(proof.verdicts) == 2
         assert check_skeptical_proof(proof)
         # the checker runs the engine's search, with the same cuts
         assert len(calls) == 2 * decided
@@ -416,15 +424,13 @@ def test_sweep_budget_covers_every_query(monkeypatch):
 
 
 def test_search_meets_the_wide_theory_targets(monkeypatch):
-    """16 independent defaults give their one extension in at most 17
-    gamma calls, not 2^16; 8 forked pairs keep all 2^8 extensions."""
-    calls = []
-    real = luk3.defaults.gamma
-    monkeypatch.setattr(luk3.defaults, "gamma", lambda *args: calls.append(1) or real(*args))
+    """16 independent defaults give their one extension in at most 17 leaf
+    groundings, not 2^16; 8 forked pairs keep all 2^8 extensions."""
+    calls = count_leaf_groundings(monkeypatch)
     wide = theory("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(16)))
     (e,) = extensions(wide)
     assert e.fired == wide.defaults
-    assert len(calls) <= 17
+    assert 1 <= len(calls) <= 17
     forked = theory("fact: a.\n" + "".join(f"default: a : z{i} / z{i}.\ndefault: a : ~z{i} / ~z{i}.\n"
                                            for i in range(8)))
     assert len(extensions(forked)) == 256
@@ -479,6 +485,13 @@ def test_non_normal_agrees_with_oracles(drawn):
     assert len(engine) == len(oracle)
     for eb, ob in zip(engine, oracle):
         assert oracles.equivalent(eb, ob)
+    # the leaves ground only their IN defaults: the search keeps exactly the
+    # ranks an unpruned sweep of the firing operator keeps, in its firing order
+    kept = dict(luk3.defaults._Search(t))
+    assert [r in kept for r in range(1 << len(t.defaults))] == oracles.kept_flags(t)
+    for e in kept.values():
+        assert list(e.fired) == oracles.gamma_fired(t, e.basis)[0]
+        assert gamma(t, e) == e
     brave = brave_prove(BraveSequent(t.facts, t.defaults, sigma, theta))
     assert bool(brave) == oracles.brave_holds(t, sigma, theta)
     skeptical = skeptical_decide(SkepticalSequent(constraints, t.facts, t.defaults, theta))

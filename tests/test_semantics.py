@@ -21,7 +21,7 @@ from luk3.semantics import (
     tt_valid,
 )
 from luk3.sequent import Sequent3
-from luk3.syntax import Atom, Cert, Impl, Not, Poss, atoms, parse_formula
+from luk3.syntax import And, Atom, Cert, Impl, Not, Or, Poss, atoms, parse_formula
 
 F, U, T = VALUES
 P, Q = Atom("p"), Atom("q")
@@ -32,7 +32,15 @@ class TestTruthValues:
         assert F < U < T
 
     def test_numeric_view_is_exact(self):
-        assert [v.num for v in VALUES] == [Fraction(0), Fraction(1, 2), Fraction(1)]
+        # read f, u, t as 0, 1/2, 1: the tables are Lukasiewicz's functions
+        num = {v: Fraction(v.rank, 2) for v in VALUES}
+        for x in VALUES:
+            assert num[evaluate(Not(P), Interpretation.of(p=x))] == 1 - num[x]
+            for y in VALUES:
+                value = Interpretation.of(p=x, q=y)
+                assert num[evaluate(Impl(P, Q), value)] == min(1, 1 - num[x] + num[y])
+                assert num[evaluate(And(P, Q), value)] == min(num[x], num[y])
+                assert num[evaluate(Or(P, Q), value)] == max(num[x], num[y])
 
     def test_symbols_round_trip(self):
         for v in VALUES:
