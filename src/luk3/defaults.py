@@ -18,11 +18,11 @@ Both produce certificates made of sequent proofs and anti-sequent
 refutations that an independent checker replays without rerunning any
 search; a brave certificate chooses each block reason from the final basis,
 and a skeptical one lists every rank of the 2^n subsets, marking the kept ones.
-The search takes its entailment test as an argument: the engine decides
-entailment with the sequent calculus, and the skeptical checker runs the
-same search with truth-table entailment, so it never calls the calculus it
-audits; both checkers decide each entailment that a certificate gives
-evidence for by replaying that evidence.
+The search takes its entailment test as an argument: the engine takes the
+sequent calculus's answer, and the skeptical checker takes it only once
+check_proof or check_refutation accepts the calculus's proof or refutation.
+Both checkers replay each piece of evidence a certificate carries, so they
+rest on those two calculus checkers and on no other decision procedure.
 Queries, results and certificate parts are immutable named tuples.
 """
 
@@ -32,7 +32,6 @@ from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .antisequent import AntiSequent3, RefutationTree, check_refutation, refutation_from_doc, refutation_from_failure, refutation_to_doc
-from .semantics import tt_entails
 from .sequent import ProofFailure, ProofTree, check_proof, entailment_sequent, proof_from_doc, proof_to_doc, prove
 from .syntax import (
     Cert,
@@ -493,12 +492,17 @@ class SkepticalFailure(NamedTuple):
         return False
 
 
+def _evidence(basis: frozenset[Formula], f: Formula
+              ) -> tuple[ProofTree | None, RefutationTree | None]:
+    """The calculus's evidence on whether ``basis`` entails ``f``: the proof,
+    or else the refutation chain of the failed proof; the other is None."""
+    proof = _proof(basis, f)
+    return (proof, None) if proof else (None, _refutation(basis, f))
+
+
 def _constraint_evidence(e: ExtensionBasis, c: SignedConstraint) -> ConstraintEvidence:
-    proof = _proof(e.basis, c.formula)
-    if proof:
-        return ConstraintEvidence(c, satisfied=c.positive, proof=proof)
-    return ConstraintEvidence(c, satisfied=not c.positive,
-                              refutation=_refutation(e.basis, c.formula))
+    proof, refutation = _evidence(e.basis, c.formula)
+    return ConstraintEvidence(c, (proof is not None) == c.positive, proof, refutation)
 
 
 def _transcript(n: int, kept: set[int]) -> tuple[CandidateRecord, ...]:
@@ -624,56 +628,62 @@ def check_brave_proof(proof: BraveProof) -> bool:
 
 
 @cache
-def _sem_entailed(basis: frozenset[Formula], f: Formula) -> bool:
-    """Entailment by truth tables: the route of the skeptical checker's search."""
-    return bool(tt_entails(basis, f))
+def _certified(basis: frozenset[Formula], f: Formula) -> bool:
+    """Entailment by the calculus, counted once its checker accepts the
+    evidence: the skeptical checker's route.  ValueError when it does not."""
+    entailed = _replayed(basis, f, *_evidence(basis, f))
+    if entailed is None:
+        raise ValueError("the calculus's evidence fails its checker")
+    return entailed
 
 
 def check_skeptical_proof(proof: SkepticalProof) -> bool:
-    """Audit a skeptical certificate against the semantics.
+    """Audit a skeptical certificate with the calculus's two checkers.
 
     The transcript must list every rank of the 2^n subsets with its
-    indices.  The checker then runs the engine's branch-and-bound search
-    with truth-table entailment (no proof search): the ranks it yields must
+    indices.  The checker then runs the engine's branch-and-bound search,
+    taking each entailment from the calculus's proof or refutation once
+    check_proof or check_refutation accepts it: the ranks it yields must
     be exactly those the transcript keeps, and the verdicts must be its
     extensions in rank order, each with its basis and its fired defaults in
     firing order.  Constraint and goal entailments are decided by replaying
     the evidence (each proof or refutation must check against the
     extension's basis), and each satisfying extension must carry a goal
-    proof.  Raises SearchLimitError, as the engine does, when the 2^n
-    transcript records exceed DEFAULT_MAX_STATES.
+    proof.  The certificate is rejected when the calculus gives evidence
+    that fails its checker.  Raises SearchLimitError, as the engine does,
+    when the 2^n transcript records exceed DEFAULT_MAX_STATES.
     """
     q = proof.query
     try:
         theory = DefaultTheory(q.gamma, q.delta)
-    except ValueError:
-        return False
-    if len(proof.transcript) != 1 << len(q.delta):
-        return False
-    _check_transcript_size(len(q.delta))
-    kept = [r.rank for r in proof.transcript if r.kept]
-    if tuple(proof.transcript) != _transcript(len(q.delta), set(kept)):
-        return False
-    constraints = tuple(sorted(q.sigma, key=_constraint_key))
-    kept_ranks = iter(kept)
-    verdicts = iter(proof.verdicts)
-    for rank, e in _Search(theory, _sem_entailed):
-        verdict = next(verdicts, None)
-        if (next(kept_ranks, None) != rank or verdict is None or verdict.extension != e
-                or tuple(ev.constraint for ev in verdict.evidence) != constraints):
+        if len(proof.transcript) != 1 << len(q.delta):
             return False
-        for ev in verdict.evidence:
-            entailed = _replayed(e.basis, ev.constraint.formula, ev.proof, ev.refutation)
-            if entailed is None or ev.satisfied != (entailed == ev.constraint.positive):
+        _check_transcript_size(len(q.delta))
+        kept = [r.rank for r in proof.transcript if r.kept]
+        if tuple(proof.transcript) != _transcript(len(q.delta), set(kept)):
+            return False
+        constraints = tuple(sorted(q.sigma, key=_constraint_key))
+        kept_ranks = iter(kept)
+        verdicts = iter(proof.verdicts)
+        for rank, e in _Search(theory, _certified):
+            verdict = next(verdicts, None)
+            if (next(kept_ranks, None) != rank or verdict is None or verdict.extension != e
+                    or tuple(ev.constraint for ev in verdict.evidence) != constraints):
                 return False
-        if verdict.satisfies_constraints != all(ev.satisfied for ev in verdict.evidence):
-            return False
-        if verdict.satisfies_constraints:
-            if (verdict.goal not in q.theta
-                    or not _replayed(e.basis, verdict.goal, verdict.goal_proof, None)):
+            for ev in verdict.evidence:
+                entailed = _replayed(e.basis, ev.constraint.formula, ev.proof, ev.refutation)
+                if entailed is None or ev.satisfied != (entailed == ev.constraint.positive):
+                    return False
+            if verdict.satisfies_constraints != all(ev.satisfied for ev in verdict.evidence):
                 return False
-        elif verdict.goal is not None or verdict.goal_proof is not None:
-            return False
+            if verdict.satisfies_constraints:
+                if (verdict.goal not in q.theta
+                        or not _replayed(e.basis, verdict.goal, verdict.goal_proof, None)):
+                    return False
+            elif verdict.goal is not None or verdict.goal_proof is not None:
+                return False
+    except ValueError:  # a repeated default, or evidence that fails its checker
+        return False
     return next(verdicts, None) is None and next(kept_ranks, None) is None
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import luk3.defaults
+import luk3.semantics
 import oracles
 from mutation import brave_mutants, skeptical_mutants
 from conftest import query_pool
@@ -381,6 +382,41 @@ class TestChain:
         assert len(mutants) == 266  # 264, plus one reordering for each of 2 verdicts firing two
         assert not any(check_skeptical_proof(m) for m in mutants)
 
+    def test_twelve_default_skeptical_certificate_checks_without_truth_tables(self, monkeypatch):
+        t = chain(12)
+        proof = skeptical_decide(SkepticalSequent(frozenset(), t.facts, t.defaults,
+                                                  frozenset({Poss(Atom("a1"))})))
+        assert isinstance(proof, SkepticalProof)
+        # truth tables over the 13 atoms would evaluate formulas millions of
+        # times; replaying the calculus's evidence takes a few hundred calls
+        calls = []
+        evaluate = luk3.semantics.evaluate
+
+        def counted(*args):
+            calls.append(1)
+            assert len(calls) <= 10_000, "the checker re-decides entailment by truth tables"
+            return evaluate(*args)
+
+        monkeypatch.setattr(luk3.semantics, "evaluate", counted)
+        assert check_skeptical_proof(proof)
+        mutants = []
+        for i, v in enumerate(proof.verdicts):
+            e = v.extension
+            assert len(e.fired) == 2
+            for mutated in (v._replace(extension=e._replace(fired=e.fired[::-1])),
+                            v._replace(extension=e._replace(basis=e.basis | {Atom("zz_mut")})),
+                            v._replace(satisfies_constraints=not v.satisfies_constraints)):
+                mutants.append(proof._replace(verdicts=proof.verdicts[:i] + (mutated,)
+                                              + proof.verdicts[i + 1:]))
+        # the chain's first default with either side of the fork is kept
+        assert [r.rank for r in proof.transcript if r.kept] == [1 | 1 << 10, 1 | 1 << 11]
+        for r in (1 | 1 << 10, 1 | 1 << 11, 0, 1 | 3 << 10):
+            record = proof.transcript[r]
+            mutants.append(proof._replace(transcript=proof.transcript[:r]
+                                          + (record._replace(kept=not record.kept),)
+                                          + proof.transcript[r + 1:]))
+        assert not any(check_skeptical_proof(m) for m in mutants)
+
     def test_brave_agrees_with_oracle(self):
         a1, a2 = Atom("a1"), Atom("a2")
         pool = [Z, Not(Z), Poss(Z), Poss(Not(Z)), a1, Poss(a1), Poss(a2), Atom("a0")]
@@ -545,22 +581,55 @@ def test_skeptical_brave_duality_on_small_sweep(family):
             assert [r.kept for r in result.transcript] == oracles.kept_flags(t)
 
 
-def test_skeptical_checker_never_calls_the_calculus(family, monkeypatch):
+@pytest.fixture
+def cold_caches():
+    """The calculus's caches and the skeptical checker's memo, empty when the
+    test starts and emptied again when it ends."""
+    caches = (luk3.defaults._proof, luk3.defaults._refutation, luk3.defaults._certified)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+def test_skeptical_checker_trusts_the_calculus_only_through_its_checkers(family, monkeypatch,
+                                                                          cold_caches):
     proofs = [p for p in (skeptical_decide(q) for _, q in _skeptical_sweep_queries(family, 64, 13))
               if p]
     assert proofs
-
-    def refuse(*args):
-        raise AssertionError("the calculus was called")
-
-    monkeypatch.setattr(luk3.defaults, "_proof", refuse)
-    monkeypatch.setattr(luk3.defaults, "prove", refuse)
-    with pytest.raises(AssertionError, match="the calculus was called"):
-        extensions(family[-1])  # the engine's default route is cut off
     for proof in proofs:
         assert check_skeptical_proof(proof)
         for mutant in skeptical_mutants(proof):
             assert not check_skeptical_proof(mutant)
+    # two calculi that lie about every entailment of one sign: a failed proof
+    # (of another sequent) for each that holds, and a proof of another
+    # sequent for each that does not
+    real = luk3.defaults._proof
+    lies = {True: prove(entailment_sequent(frozenset(), Z)),
+            False: prove(entailment_sequent(frozenset({Z}), Z))}
+    for holds, lie in lies.items():
+        luk3.defaults._refutation.cache_clear()
+        luk3.defaults._certified.cache_clear()
+        told = []
+
+        def lying(basis, goal):
+            answer = real(basis, goal)
+            if bool(answer) == holds:
+                told.append(goal)
+                return lie
+            return answer
+
+        monkeypatch.setattr(luk3.defaults, "_proof", lying)
+        rejected = 0
+        for proof in proofs:
+            told.clear()
+            accepted = check_skeptical_proof(proof)
+            # one lie to the checker's search rejects a genuine certificate:
+            # evidence that fails its checker never counts as the other answer
+            assert accepted == (not told)
+            rejected += not accepted
+        assert rejected
 
 
 class TestCertificates:
