@@ -42,13 +42,13 @@ from .sequent import (
     Sequent3,
     _extend_witness,
     _node_fields,
+    _parse_triple,
     _read_components,
     failure_countermodel,
-    parse_component_fields,
     print_sequent,
     prove,
 )
-from .syntax import ARITY, Atom, Formula, TokenParser, children, connective, tokenize
+from .syntax import ARITY, Atom, Formula, children, connective
 
 __all__ = [
     "AntiSequent3",
@@ -268,12 +268,7 @@ def print_antisequent(a: AntiSequent3) -> str:
 
 def parse_antisequent(text: str) -> AntiSequent3:
     """Parse ``![ f1 ; f2 ; f3 ]``."""
-    p = TokenParser(tokenize(text))
-    p.expect("!")
-    p.expect("[")
-    comps = parse_component_fields(p)
-    p.expect_end()
-    return AntiSequent3.of(*comps)
+    return _parse_triple(text, "![", AntiSequent3)
 
 
 def refutation_to_doc(tree: RefutationTree) -> dict:

@@ -295,9 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SearchLimitError, RecursionError) as exc:
-        # RecursionError: a formula nested deeper than the recursive parser,
-        # printer and calculi can follow
-        print(f"error: resource limit: {exc}", file=sys.stderr)
+        # a RecursionError's own text names the call that ran out, which --json changes
+        reason = "formula nested too deeply" if isinstance(exc, RecursionError) else exc
+        print(f"error: resource limit: {reason}", file=sys.stderr)
         return 2
 
 

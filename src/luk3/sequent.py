@@ -407,11 +407,17 @@ def parse_component_fields(p: TokenParser) -> list[tuple[Formula, ...]]:
 
 def parse_sequent(text: str) -> Sequent3:
     """Parse ``[ f1, f2 ; ; g ]``."""
+    return _parse_triple(text, "[", Sequent3)
+
+
+def _parse_triple(text: str, head: str, cls: type[ComponentTriple]) -> ComponentTriple:
+    """Parse ``head F ; F ; F]`` as a ``cls``; each character of ``head`` is a token."""
     p = TokenParser(tokenize(text))
-    p.expect("[")
+    for kind in head:
+        p.expect(kind)
     comps = parse_component_fields(p)
     p.expect_end()
-    return Sequent3.of(*comps)
+    return cls.of(*comps)
 
 
 #: The tokenizer's blanks, stripped from the ends of an entry.

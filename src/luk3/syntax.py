@@ -26,16 +26,17 @@ or default raises :class:`DuplicateWarning`, naming its line, and the
 duplicate is dropped.
 
 Formula nodes are hash-consed: every constructor looks the node up in a weak
-table, so equal live formulas are one object, and set and dict lookups
-succeed on identity.  Each node stores its hash, its sort key and its depth,
-so none of them depends on the formula's size.  Formulas, ``ProofTree`` and
-``Interpretation`` share one frozen-record base, ``_Record``.  ``Default``
-and ``DefaultTheory`` are immutable named tuples that validate their fields
-on construction and in ``_replace``.
+table that threads enter under one lock, so equal live formulas are one
+object and compare by identity.  Each node stores its hash (its field
+tuple's), its sort key and its depth, so none depends on the formula's size.
+Formulas, ``ProofTree`` and ``Interpretation`` share one frozen-record base,
+``_Record``.  ``Default`` and ``DefaultTheory`` are immutable named tuples
+that validate their fields on construction and in ``_replace``.
 """
 
 from __future__ import annotations
 
+import _thread
 import re
 import warnings
 import weakref
@@ -96,7 +97,8 @@ class _Record:
     interpretations.  It equals only a record of its own class with equal
     fields (those in ``__match_args__``; other slots are private), hashes as
     its field tuple, prints like a dataclass and pickles through its
-    constructor.  Assignment and deletion raise ``FrozenInstanceError``."""
+    constructor.  Assignment and deletion raise ``FrozenInstanceError``.
+    ``Formula`` keeps the hash but compares by identity (see its table)."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -131,35 +133,27 @@ class _Record:
 class Formula(_Record):
     """Base class of the formula AST: immutable, interned nodes.
 
-    Constructing a node equal to a live one returns that object, and a copy
-    is the node itself.  Each node stores its hash, its sort key and its
+    Constructing a node equal to a live one returns that object, in any
+    thread, so ``==`` is identity; the hash is still the field tuple's.  A
+    copy is the node itself.  Each node stores its hash, its sort key and its
     depth; all three are built in O(1) from the children's stored values.
     """
 
     __slots__ = ("_hash", "_key", "_depth", "__weakref__")
 
+    __eq__ = object.__eq__
+
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # a node made without its constructor
-            return super().__hash__()
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return hash(self) == hash(other) and self._fields() == other._fields()
-
-    def __copy__(self):
-        return self
+        return self._hash
 
     def __deepcopy__(self, memo):
         return self
 
 
-#: Live formula nodes by (class, *fields), held weakly.
+#: Live formula nodes by (class, *fields), held weakly, entered and dropped
+#: under ``_lock`` (reentrant, as a weakref callback may run while it is held).
 _interned: dict[tuple, weakref.KeyedRef] = {}
+_lock = _thread.RLock()
 
 
 def _interned_node(key: tuple) -> Formula | None:
@@ -168,22 +162,26 @@ def _interned_node(key: tuple) -> Formula | None:
 
 
 def _intern(key: tuple, order: tuple, depth: int) -> Formula:
-    """A new node of class ``key[0]`` with fields ``key[1:]``, sort key
-    ``order`` and depth ``depth``, entered in the table."""
-    cls, *values = key
-    node = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(node, name, value)
-    object.__setattr__(node, "_hash", hash(tuple(values)))
-    object.__setattr__(node, "_key", order)
-    object.__setattr__(node, "_depth", depth)
-    _interned[key] = weakref.KeyedRef(node, _forget, key)
-    return node
+    """The live node of class ``key[0]`` with fields ``key[1:]``, or a new
+    one with sort key ``order`` and depth ``depth``, entered in the table."""
+    with _lock:
+        node = _interned_node(key)  # another thread may have made it
+        if node is None:
+            cls, *values = key
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, values):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", hash(tuple(values)))
+            object.__setattr__(node, "_key", order)
+            object.__setattr__(node, "_depth", depth)
+            _interned[key] = weakref.KeyedRef(node, _forget, key)
+        return node
 
 
 def _forget(ref: weakref.KeyedRef) -> None:
-    if _interned.get(ref.key) is ref:
-        del _interned[ref.key]
+    with _lock:
+        if _interned.get(ref.key) is ref:
+            del _interned[ref.key]
 
 
 class Atom(Formula):
@@ -274,8 +272,7 @@ def sort_key(f: Formula) -> tuple:
     """Key for the canonical total order on formulas.
 
     Orders by constructor rank, then recursively by children, then by atom
-    name; equal keys coincide with structural equality.  The key is stored
-    on the node.
+    name; equal keys coincide with equality.  The key is stored on the node.
     """
     return f._key
 

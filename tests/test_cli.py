@@ -484,6 +484,7 @@ def test_golden_output(capsys, tmp_path, argv, code, out):
     pytest.param(["prove", "[p ; p ; " + "~" * 450 + "p]"], id="prove-too-deep"),
     pytest.param(["refute", "![ ; ; p | ~p]"], id="refute-yes"),
     pytest.param(["refute", "![ ; ; p -> p]"], id="refute-no"),
+    pytest.param(["refute", "![ ; ; " + "~" * 300 + "p]"], id="refute-too-deep"),
     pytest.param(["brave", "{dup}", "--in", "M b"], id="brave-yes-warned"),
     pytest.param(["brave", "{fork}", "--in", "b"], id="brave-no"),
     pytest.param(["skeptical", "{dup}", "--constraints", "+M b", "--goals", "M b"],

@@ -4,6 +4,8 @@ import copy
 import gc
 import pickle
 import re
+import sys
+import threading
 import weakref
 from dataclasses import FrozenInstanceError
 
@@ -319,16 +321,15 @@ def _reference_key(f):
 
 
 class TestInterning:
-    def test_equal_formulas_are_one_object(self):
+    def test_equal_formulas_are_one_object(self, pool):
         f = Impl(And(A, Not(B)), Poss(C))
-        rebuilt = [
-            Impl(And(Atom("a"), Not(Atom("b"))), Poss(Atom("c"))),
-            parse_formula("a & ~b -> M c"),
-            copy.copy(f),
-            copy.deepcopy(f),
-            pickle.loads(pickle.dumps(f)),
-        ]
-        assert all(g is f for g in rebuilt)
+        assert Impl(And(Atom("a"), Not(Atom("b"))), Poss(Atom("c"))) is f
+        assert parse_formula("a & ~b -> M c") is f
+        for f in pool:
+            rebuilt = [copy.copy(f), copy.deepcopy(f), parse_formula(print_formula(f))]
+            rebuilt += [pickle.loads(pickle.dumps(f, protocol))
+                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            assert all(g is f for g in rebuilt)
 
     def test_hash_is_that_of_the_fields(self, pool):
         for f in pool:
@@ -339,15 +340,46 @@ class TestInterning:
         for f in pool:
             assert sort_key(f) == _reference_key(f)
 
-    def test_copy_made_around_the_table_compares_equal(self):
+    def test_node_made_around_the_table_equals_only_itself(self):
+        # equality is identity; the hash stays the field tuple's
+        # (test_hash_is_that_of_the_fields)
         f = Impl(A, Not(B))
         g = object.__new__(Impl)
         object.__setattr__(g, "left", A)
         object.__setattr__(g, "right", Not(B))
-        assert g is not f
-        assert g == f and f == g and hash(g) == hash(f)
-        assert g in {f} and f in {g}
-        assert g != Impl(A, Not(C))
+        assert g == g and not g != g
+        assert g != f and f != g
+
+    def test_threads_build_one_object_per_formula(self):
+        # Threads that miss the table together must still agree on one node:
+        # with a racy table two of them each enter their own, and identity
+        # equality would then tell equal formulas apart.
+        threads, width = 4, 400
+        barrier = threading.Barrier(threads, timeout=10)
+        built: list[list | None] = [None] * threads
+
+        def build(k):
+            barrier.wait()
+            out = []
+            for i in range(width):
+                a = Atom(f"zz_thread_{i}")
+                out.append(Or(And(a, Not(a)), Not(Not(a))))
+            built[k] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=build, args=(k,)) for k in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert all(out is not None for out in built)
+        for position in zip(*built):
+            assert all(f is position[0] for f in position)
 
     def test_nodes_are_immutable(self):
         with pytest.raises(FrozenInstanceError):
