@@ -15,12 +15,13 @@ queries (is there an extension containing all of Sigma and none of Theta?)
 stop at the first that qualifies, and skeptical queries (does every
 constraint-satisfying extension contain a goal?) check each.
 Both produce certificates made of sequent proofs and anti-sequent
-refutations that an independent checker replays without rerunning any
-search; a brave certificate chooses each block reason from the final basis,
-and a skeptical one lists every rank of the 2^n subsets, marking the kept ones.
-The search takes its entailment test as an argument: the engine takes the
-sequent calculus's answer, and the skeptical checker takes it only once
-check_proof or check_refutation accepts the calculus's proof or refutation.
+refutations.  A brave certificate chooses each block reason from the final
+basis, and its checker replays it without any search.  A skeptical one lists
+every rank of the 2^n subsets, marking the kept ones, and its checker reruns
+the search.  The search takes its entailment test as an argument: the engine
+takes the sequent calculus's answer, and the skeptical checker takes it only
+once check_proof or check_refutation accepts the calculus's proof or
+refutation.
 Both checkers replay each piece of evidence a certificate carries, so they
 rest on those two calculus checkers and on no other decision procedure.
 Queries, results and certificate parts are immutable named tuples.
@@ -197,20 +198,19 @@ class _Search:
     counts the nodes reached so far, leaves plus cuts.  Defaults are decided
     from the highest index down, OUT before IN.  With IN and the still open
     defaults, every kept subset S below a node has
-    ``basis(IN) <= basis(S) <= basis(IN + open)``, and entailment is
-    monotone, so a node is cut when an IN default is blocked by
-    ``basis(IN)`` or has a prerequisite that ``basis(IN + open)`` does not
-    entail, or when an OUT default has a prerequisite that ``basis(IN)``
-    entails and no blocking formula that ``basis(IN + open)`` entails (it
-    would fire).  At an uncut leaf ``low == high == basis(IN)``: each IN
-    default has an entailed prerequisite and no entailed blocking formula,
-    and each OUT default is blocked or has a prerequisite that
-    ``basis(IN)`` does not entail, so the firing operator against
-    ``basis(IN)`` fires IN defaults only.  A leaf therefore grounds just its
-    IN defaults in stages and keeps the subset when all of them fire, with
-    the operator's basis and firing order.  Closure-equivalent candidates
-    fire the same set, so no two kept ranks share a closure.  Raises
-    SearchLimitError once the states exceed DEFAULT_MAX_STATES.
+    ``low = basis(IN) <= basis(S) <= basis(IN + open) = high``, and
+    entailment is monotone, so every node makes one cut test (``_cut``) of
+    all its decided defaults against ``low`` and ``high``: it is cut when an
+    IN default fires in no such S, or an OUT default fires in every one.  A
+    cut node counts one state and ends its branch.  At an uncut leaf
+    ``low == high``: each IN default has an entailed prerequisite and no
+    entailed blocking formula, and each OUT default is blocked or has a
+    prerequisite that ``low`` does not entail, so the firing operator
+    against ``low`` fires IN defaults only.  A leaf therefore grounds just
+    its IN defaults in stages and keeps the subset when all of them fire,
+    with the operator's basis and firing order.  Closure-equivalent
+    candidates fire the same set, so no two kept ranks share a closure.
+    Raises SearchLimitError once the states exceed DEFAULT_MAX_STATES.
     """
 
     def __init__(self, theory: DefaultTheory, entailed=_entailed):
@@ -224,56 +224,45 @@ class _Search:
                            for k in range(len(theory.defaults) + 1))
 
     def __iter__(self) -> Iterator[tuple[int, ExtensionBasis]]:
-        n = len(self.theory.defaults)
-        facts = frozenset(self.theory.facts)
-        return self._visit(n, (), (), facts, facts | self.below[n])
+        return self._visit(len(self.theory.defaults), (), (), frozenset(self.theory.facts))
 
     def _reach(self) -> None:
         self.states += 1
         if self.states > DEFAULT_MAX_STATES:
             raise SearchLimitError(f"default search exceeds {DEFAULT_MAX_STATES} states")
 
-    def _dead(self, k: int, low: frozenset[Formula], high: frozenset[Formula]) -> bool:
-        """IN default k fires in no kept subset between ``low`` and ``high``.
-        A prerequisite that ``low`` entails needs no check against the
-        larger ``high``."""
-        entailed = self.entailed
-        prereq = self.theory.defaults[k].prereq
-        if not (entailed(low, prereq) or entailed(high, prereq)):
-            return True
-        for f in self.blocking[k]:
-            if entailed(low, f):
-                return True
-        return False
-
-    def _forced(self, k: int, low: frozenset[Formula], high: frozenset[Formula]) -> bool:
-        """OUT default k fires in every kept subset between ``low`` and ``high``."""
-        entailed = self.entailed
-        if not entailed(low, self.theory.defaults[k].prereq):
-            return False
-        for f in self.blocking[k]:
-            if entailed(high, f):
-                return False
-        return True
-
     def _cut(self, inside: tuple[int, ...], outside: tuple[int, ...],
              low: frozenset[Formula], high: frozenset[Formula]) -> bool:
+        """Whether no kept subset lies between ``low`` and ``high``: an IN
+        default has a prerequisite that neither basis entails or a blocking
+        formula that ``low`` entails (it cannot fire), or an OUT default has
+        a prerequisite that ``low`` entails and no blocking formula that
+        ``high`` entails (it must fire)."""
+        entailed, defaults, blocking = self.entailed, self.theory.defaults, self.blocking
         for k in inside:
-            if self._dead(k, low, high):
+            prereq = defaults[k].prereq
+            if not (entailed(low, prereq) or entailed(high, prereq)):
                 return True
+            for f in blocking[k]:
+                if entailed(low, f):
+                    return True
         for k in outside:
-            if self._forced(k, low, high):
-                return True
+            if entailed(low, defaults[k].prereq):
+                for f in blocking[k]:
+                    if entailed(high, f):
+                        break
+                else:
+                    return True
         return False
 
     def _visit(self, k: int, inside: tuple[int, ...], outside: tuple[int, ...],
-               low: frozenset[Formula], high: frozenset[Formula]
-               ) -> Iterator[tuple[int, ExtensionBasis]]:
-        """The subtree below an uncut node where the defaults from index
-        ``k`` up are decided, the ``inside`` ones IN and the ``outside`` ones
-        OUT, ``low = basis(IN)`` and ``high = basis(IN + open)``.  The node
-        was not cut, so a child checks them again only when its move changed
-        a basis."""
+               low: frozenset[Formula]) -> Iterator[tuple[int, ExtensionBasis]]:
+        """The subtree below the node where the defaults from index ``k`` up
+        are decided, the ``inside`` ones IN and the ``outside`` ones OUT,
+        and ``low = basis(IN)``."""
+        if self._cut(inside, outside, low, low | self.below[k]):
+            self._reach()
+            return
         if k == 0:
             self._reach()
             g = _ground(self.theory.facts, [self.theory.defaults[i] for i in inside],
@@ -282,18 +271,8 @@ class _Search:
                 yield sum(1 << i for i in inside), g
             return
         k -= 1
-        out_high = low | self.below[k]
-        if (self._forced(k, low, out_high)
-                or len(out_high) < len(high) and self._cut(inside, outside, low, out_high)):
-            self._reach()
-        else:
-            yield from self._visit(k, inside, (k,) + outside, low, out_high)
-        in_low = low | {self.consequents[k]}
-        if (self._dead(k, in_low, high)
-                or len(in_low) > len(low) and self._cut(inside, outside, in_low, high)):
-            self._reach()
-        else:
-            yield from self._visit(k, (k,) + inside, outside, in_low, high)
+        yield from self._visit(k, inside, (k,) + outside, low)
+        yield from self._visit(k, (k,) + inside, outside, low | {self.consequents[k]})
 
 
 def extensions(theory: DefaultTheory) -> tuple[ExtensionBasis, ...]:
@@ -640,13 +619,13 @@ def _certified(basis: frozenset[Formula], f: Formula) -> bool:
 def check_skeptical_proof(proof: SkepticalProof) -> bool:
     """Audit a skeptical certificate with the calculus's two checkers.
 
-    The transcript must list every rank of the 2^n subsets with its
-    indices.  The checker then runs the engine's branch-and-bound search,
-    taking each entailment from the calculus's proof or refutation once
-    check_proof or check_refutation accepts it: the ranks it yields must
-    be exactly those the transcript keeps, and the verdicts must be its
-    extensions in rank order, each with its basis and its fired defaults in
-    firing order.  Constraint and goal entailments are decided by replaying
+    The checker runs the engine's branch-and-bound search, taking each
+    entailment from the calculus's proof or refutation once check_proof or
+    check_refutation accepts it.  The verdicts must be its extensions in
+    rank order, each with its basis and its fired defaults in firing order,
+    and the transcript must be the one skeptical_decide writes for the
+    ranks it yields: every rank of the 2^n subsets with its indices, kept
+    exactly for those ranks.  Constraint and goal entailments are decided by replaying
     the evidence (each proof or refutation must check against the
     extension's basis), and each satisfying extension must carry a goal
     proof.  The certificate is rejected when the calculus gives evidence
@@ -659,15 +638,13 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
         if len(proof.transcript) != 1 << len(q.delta):
             return False
         _check_transcript_size(len(q.delta))
-        kept = [r.rank for r in proof.transcript if r.kept]
-        if tuple(proof.transcript) != _transcript(len(q.delta), set(kept)):
-            return False
         constraints = tuple(sorted(q.sigma, key=_constraint_key))
-        kept_ranks = iter(kept)
+        kept = set()
         verdicts = iter(proof.verdicts)
         for rank, e in _Search(theory, _certified):
+            kept.add(rank)
             verdict = next(verdicts, None)
-            if (next(kept_ranks, None) != rank or verdict is None or verdict.extension != e
+            if (verdict is None or verdict.extension != e
                     or tuple(ev.constraint for ev in verdict.evidence) != constraints):
                 return False
             for ev in verdict.evidence:
@@ -684,7 +661,8 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
                 return False
     except ValueError:  # a repeated default, or evidence that fails its checker
         return False
-    return next(verdicts, None) is None and next(kept_ranks, None) is None
+    return (next(verdicts, None) is None
+            and tuple(proof.transcript) == _transcript(len(q.delta), kept))
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,19 @@ class TestChain:
             mutants.append(proof._replace(transcript=proof.transcript[:r]
                                           + (record._replace(kept=not record.kept),)
                                           + proof.transcript[r + 1:]))
+        # the transcript's order, indices and length are checked as well as its flags
+        kept = 1 | 1 << 10
+        transcript = list(proof.transcript)
+        transcript[0], transcript[kept] = transcript[kept], transcript[0]
+        swapped = proof._replace(transcript=tuple(transcript))
+        transcript = list(proof.transcript)
+        transcript[kept] = transcript[kept]._replace(fired_indices=(0,))
+        mutants += [swapped, proof._replace(transcript=tuple(transcript)),
+                    proof._replace(transcript=proof.transcript[:-1]),
+                    proof._replace(transcript=proof.transcript + proof.transcript[-1:])]
         assert not any(check_skeptical_proof(m) for m in mutants)
+        assert not check_skeptical_proof(skeptical_proof_from_doc(json.loads(json.dumps(
+            skeptical_proof_to_doc(swapped)))))
 
     def test_brave_agrees_with_oracle(self):
         a1, a2 = Atom("a1"), Atom("a2")
@@ -461,15 +473,27 @@ def test_sweep_budget_covers_every_query(monkeypatch):
 
 def test_search_meets_the_wide_theory_targets(monkeypatch):
     """16 independent defaults give their one extension in at most 17 leaf
-    groundings, not 2^16; 8 forked pairs keep all 2^8 extensions."""
+    groundings, not 2^16; 8 forked pairs keep all 2^8 extensions.  The
+    search's states (leaves plus cuts) are pinned on these and on the
+    16-default chain."""
     calls = count_leaf_groundings(monkeypatch)
     wide = theory("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(16)))
     (e,) = extensions(wide)
     assert e.fired == wide.defaults
     assert 1 <= len(calls) <= 17
+    search = luk3.defaults._Search(wide)
+    assert len(list(search)) == 1
+    # one leaf, and one cut beside each default decided OUT
+    assert search.states == 17
     forked = theory("fact: a.\n" + "".join(f"default: a : z{i} / z{i}.\ndefault: a : ~z{i} / ~z{i}.\n"
                                            for i in range(8)))
     assert len(extensions(forked)) == 256
+    search = luk3.defaults._Search(forked)
+    assert len(list(search)) == 256
+    assert search.states == 766
+    search = luk3.defaults._Search(chain(16))
+    assert len(list(search)) == 2
+    assert search.states == 32
 
 
 @st.composite
@@ -514,6 +538,22 @@ def non_normal_queries(draw):
           frozenset({MB}), frozenset({B}), frozenset({SignedConstraint(False, MB)})))
 @example((theory("fact: a.\ndefault: M b : c / c.\ndefault: a : b / b."),  # fires index 1 first
           frozenset(), frozenset({A}), frozenset()))
+# 6 to 8 defaults with the fork and the self-defeating shape: a search whose
+# IN child or whose OUT child tests only the default just decided, not the
+# ones decided above it, keeps the wrong ranks on one of them
+@example((theory("fact: a.\ndefault: a -> a : L a, M b / M M b.\ndefault: a : b / b.\n"
+                 "default: M b : M b, ~b, b | c / L b.\ndefault: M a : b | c, a / L b.\n"
+                 "default: a -> a : ~b / ~b.\ndefault: a : ~b / L b."),
+          frozenset({MB}), frozenset({B}), frozenset({SignedConstraint(True, MB)})))
+@example((theory("fact: a.\ndefault: M a : b / M b.\ndefault: a -> a : ~b / ~b.\n"
+                 "default: a : b / b.\ndefault: M b : b, ~c, ~a / b.\ndefault: a : ~b / L b.\n"
+                 "default: M b : c, ~a / M c.\ndefault: a -> a : b, c / b & b."),  # no extension
+          frozenset(), frozenset(), frozenset()))
+@example((theory("fact: a.\ndefault: M a : b, a, ~b / c.\ndefault: a : a -> b / L ~a.\n"
+                 "default: a : b, M b, a -> b / b | b.\ndefault: a : b / b.\n"
+                 "default: M a : c, M b, L a / L b.\ndefault: a -> a : b, c / b & b.\n"
+                 "default: a -> a : ~b / ~b.\ndefault: a : ~b / L b."),
+          frozenset({MB}), frozenset({Poss(C)}), frozenset({SignedConstraint(True, Poss(Not(B)))})))
 def test_non_normal_agrees_with_oracles(drawn):
     t, sigma, theta, constraints = drawn
     engine = [e.basis for e in extensions(t)]
