@@ -272,13 +272,17 @@ def parse_antisequent(text: str) -> AntiSequent3:
 
 
 def refutation_to_doc(tree: RefutationTree) -> dict:
-    doc = {
-        "rule": tree.rule,
-        "sequent": print_antisequent(tree.conclusion),
-        "premises": [] if tree.premise is None else [refutation_to_doc(tree.premise)],
-    }
-    if tree.witness is not None:
-        doc["witness"] = {name: v.symbol for name, v in tree.witness.assignment}
+    """The chain's document, built from the leaf up without recursion."""
+    chain = []
+    while tree is not None:
+        chain.append(tree)
+        tree = tree.premise
+    doc = None
+    for node in reversed(chain):
+        doc = {"rule": node.rule, "sequent": print_antisequent(node.conclusion),
+               "premises": [] if doc is None else [doc]}
+        if node.witness is not None:
+            doc["witness"] = {name: v.symbol for name, v in node.witness.assignment}
     return doc
 
 

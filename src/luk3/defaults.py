@@ -47,7 +47,6 @@ from .syntax import (
     print_default,
     print_formula,
     sort_key,
-    tokenize,
 )
 
 __all__ = [
@@ -323,7 +322,10 @@ def constraint_satisfied(e: ExtensionBasis, c: SignedConstraint) -> bool:
 
 def parse_constraints(text: str) -> tuple[SignedConstraint, ...]:
     """Comma-separated ``+formula`` / ``-formula``; a bare formula is positive."""
-    p = TokenParser(tokenize(text))
+    return TokenParser.read(text, _constraint_list)
+
+
+def _constraint_list(p: TokenParser) -> tuple[SignedConstraint, ...]:
     if p.at_end():
         return ()
     out = []
@@ -334,7 +336,6 @@ def parse_constraints(text: str) -> tuple[SignedConstraint, ...]:
         out.append(SignedConstraint(positive, p.formula()))
         if not p.accept(","):
             break
-    p.expect_end()
     return tuple(out)
 
 

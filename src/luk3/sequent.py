@@ -41,7 +41,6 @@ from .syntax import (
     connective,
     print_formula,
     sort_key,
-    tokenize,
 )
 
 __all__ = [
@@ -412,12 +411,12 @@ def parse_sequent(text: str) -> Sequent3:
 
 def _parse_triple(text: str, head: str, cls: type[ComponentTriple]) -> ComponentTriple:
     """Parse ``head F ; F ; F]`` as a ``cls``; each character of ``head`` is a token."""
-    p = TokenParser(tokenize(text))
-    for kind in head:
-        p.expect(kind)
-    comps = parse_component_fields(p)
-    p.expect_end()
-    return cls.of(*comps)
+    def triple(p: TokenParser) -> list[tuple[Formula, ...]]:
+        for kind in head:
+            p.expect(kind)
+        return parse_component_fields(p)
+
+    return cls.of(*TokenParser.read(text, triple))
 
 
 #: The tokenizer's blanks, stripped from the ends of an entry.
@@ -464,11 +463,9 @@ def _entry_formula(entry: str) -> Formula | None:
     deeply to parse also gives None: the full parser then raises the error
     the text's first fault gives, which may be a ParseError further on."""
     try:
-        p = TokenParser(tokenize(entry))
-        f = p.formula()
+        return TokenParser.read(entry, TokenParser.formula)
     except (ParseError, RecursionError):
         return None
-    return f if p.at_end() else None
 
 
 def _node_fields(doc, kind: str) -> tuple[str, str, list]:

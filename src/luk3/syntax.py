@@ -25,6 +25,9 @@ Parsing a theory preserves the order of defaults as written; a duplicate fact
 or default raises :class:`DuplicateWarning`, naming its line, and the
 duplicate is dropped.
 
+Every whole text, here or in a module that embeds the grammar, enters the
+parser through ``TokenParser.read``, its one whole-text entry.
+
 Formula nodes are hash-consed: every constructor looks the node up in a weak
 table that threads enter under one lock, so equal live formulas are one
 object and compare by identity.  Each node stores its hash (its field
@@ -40,7 +43,7 @@ import _thread
 import re
 import warnings
 import weakref
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Callable, Iterable, NamedTuple, NoReturn, TypeVar
 
 __all__ = [
     "ARITY",
@@ -72,6 +75,8 @@ __all__ = [
 ]
 
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+_T = TypeVar("_T")
 
 
 class ParseError(Exception):
@@ -399,7 +404,8 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
 
 
 class TokenParser:
-    """Recursive-descent parser over a token list.
+    """Recursive-descent parser over a token list; ``read`` is the one
+    entry for a whole text.
 
     The grammar entry points are methods so that other modules can embed
     formulas and defaults in their own surface syntax (sequents, constraint
@@ -409,6 +415,14 @@ class TokenParser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+
+    @classmethod
+    def read(cls, text: str, rule: Callable[[TokenParser], _T], first_line: int = 1) -> _T:
+        """Tokenize ``text``, apply ``rule`` and require end of input."""
+        p = cls(tokenize(text, first_line))
+        out = rule(p)
+        p.expect_end()
+        return out
 
     def peek(self) -> Token:
         return self._tokens[self._pos]
@@ -490,34 +504,32 @@ class TokenParser:
 
 def parse_formula(text: str) -> Formula:
     """Parse a single formula; rejects empty input and trailing garbage."""
-    p = TokenParser(tokenize(text))
-    if p.at_end():
-        p.fail("a formula")
-    f = p.formula()
-    p.expect_end()
-    return f
+    return TokenParser.read(text, TokenParser.formula)
 
 
 def parse_formula_list(text: str) -> tuple[Formula, ...]:
     """Comma-separated formulas; blank input is the empty list."""
-    p = TokenParser(tokenize(text))
-    if p.at_end():
-        return ()
-    out = p.formula_list()
-    p.expect_end()
-    return out
+    return TokenParser.read(text, lambda p: () if p.at_end() else p.formula_list())
 
 
 def parse_default(text: str) -> Default:
     """A bare default ``A : B1, ..., Bn / C`` (no trailing dot)."""
-    p = TokenParser(tokenize(text))
-    d = p.default()
-    p.expect_end()
-    return d
+    return TokenParser.read(text, TokenParser.default)
 
 
 #: The line ends of a theory file: those that text-mode ``open`` translates.
 _LINE_END = re.compile(r"\r\n|\r|\n")
+
+
+def _theory_line(p: TokenParser) -> tuple[str, Formula | Default]:
+    """``fact: F.`` or ``default: D.``, read as its keyword and its item."""
+    if p.peek().text not in ("fact", "default"):
+        p.fail("'fact' or 'default'")
+    keyword = p.expect("atom").text
+    p.expect(":")
+    item = p.formula() if keyword == "fact" else p.default()
+    p.expect(".")
+    return keyword, item
 
 
 def parse_theory(text: str) -> DefaultTheory:
@@ -526,38 +538,19 @@ def parse_theory(text: str) -> DefaultTheory:
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, so a form feed or
     another separator that ``str.splitlines`` would break at is an
     unexpected character."""
-    facts: list[Formula] = []
-    defaults: list[Default] = []
+    kept: dict[str, list] = {"fact": [], "default": []}
     for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         stripped = raw.strip(" \t")
         if not stripped or stripped.startswith("%"):
             continue
-        p = TokenParser(tokenize(raw, first_line=lineno))
-        head = p.expect("atom", "'fact' or 'default'")
-        if head.text == "fact":
-            p.expect(":")
-            f = p.formula()
-            p.expect(".")
-            p.expect_end()
-            if f in facts:
-                warnings.warn(f"duplicate fact {print_formula(f)!r} dropped at line {lineno}",
-                              DuplicateWarning, stacklevel=2)
-            else:
-                facts.append(f)
-        elif head.text == "default":
-            p.expect(":")
-            d = p.default()
-            p.expect(".")
-            p.expect_end()
-            if d in defaults:
-                warnings.warn(f"duplicate default {print_default(d)!r} dropped at line {lineno}",
-                              DuplicateWarning, stacklevel=2)
-            else:
-                defaults.append(d)
+        keyword, item = TokenParser.read(raw, _theory_line, lineno)
+        if item in kept[keyword]:
+            shown = print_formula(item) if keyword == "fact" else print_default(item)
+            warnings.warn(f"duplicate {keyword} {shown!r} dropped at line {lineno}",
+                          DuplicateWarning, stacklevel=2)
         else:
-            raise ParseError(f"expected 'fact' or 'default', found {head.text!r}",
-                             head.line, head.column)
-    return DefaultTheory(frozenset(facts), tuple(defaults))
+            kept[keyword].append(item)
+    return DefaultTheory(frozenset(kept["fact"]), tuple(kept["default"]))
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,11 @@ class TestResourceLimits:
         assert code == 2 and out == ""
         assert err.startswith("error: resource limit: ") and err.count("\n") == 1
 
+    def test_deep_refutation_answers_in_text(self, capsys):
+        # without --json or --proof no document is dumped, and writing one
+        # no longer recurses once per chain node
+        assert run(capsys, "refute", "![ ; ; " + "~" * 600 + "p]") == (0, "p=f\n", "")
+
     def test_failed_certificate_leaves_no_file(self, capsys, monkeypatch, tmp_path):
         # proved, but the certificate's check runs out of stack; how deep a
         # proof must be for that depends on the interpreter, so it is forced

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 import luk3.sequent
+import luk3.syntax
 from conftest import context_variants, sampled_principals
 from mutation import proof_mutants
 from luk3.antisequent import AntiSequent3
@@ -487,13 +488,13 @@ class TestDocSharing:
         proofs = [t for t in (prove(Sequent3.of((), (), (f,))) for f in pool) if t]
         assert len(proofs) == 232
         seen: list[str] = []
-        real = luk3.sequent.tokenize
+        real = luk3.syntax.tokenize
 
         def counting(text, *args):
             seen.append(text)
             return real(text, *args)
 
-        monkeypatch.setattr(luk3.sequent, "tokenize", counting)
+        monkeypatch.setattr(luk3.syntax, "tokenize", counting)
         for tree in proofs:
             doc = json.loads(json.dumps(proof_to_doc(tree)))
             entries = {entry.strip() for _, node in _doc_nodes(doc)

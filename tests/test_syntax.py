@@ -14,6 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas_strategy
+from luk3.antisequent import parse_antisequent
+from luk3.defaults import parse_constraints
+from luk3.sequent import _entry_formula, parse_sequent
 from luk3.syntax import (
     And,
     Atom,
@@ -219,6 +222,52 @@ class TestFormulaList:
     def test_dangling_comma_rejected(self):
         with pytest.raises(ParseError):
             parse_formula_list("a,")
+
+
+# Every whole-text reader, with a bad text and the error it gives.
+DOOR_ERRORS = [
+    (parse_formula, "", "expected a formula, found end of input", 1, 1),
+    (parse_formula, "  % c", "expected a formula, found end of input", 1, 3),
+    (parse_formula, "p\n q", "expected end of input, found 'q'", 2, 2),
+    (parse_formula, "(p", "expected ')', found end of input", 1, 3),
+    (parse_formula_list, "p,", "expected a formula, found end of input", 1, 3),
+    (parse_formula_list, ",p", "expected a formula, found ','", 1, 1),
+    (parse_formula_list, "p q", "expected end of input, found 'q'", 1, 3),
+    (parse_default, "", "expected a formula, found end of input", 1, 1),
+    (parse_default, "a b", "expected ':', found 'b'", 1, 3),
+    (parse_default, "a : / b", "expected a formula, found '/'", 1, 5),
+    (parse_default, "a : b / c.", "expected end of input, found '.'", 1, 10),
+    (parse_constraints, "+", "expected a formula, found end of input", 1, 2),
+    (parse_constraints, "-", "expected a formula, found end of input", 1, 2),
+    (parse_constraints, "+-p", "expected a formula, found '-'", 1, 2),
+    (parse_constraints, "p,", "expected a formula, found end of input", 1, 3),
+    (parse_constraints, "+p -q", "expected end of input, found '-'", 1, 4),
+    (parse_theory, "fact: a.\nrule: b.", "expected 'fact' or 'default', found 'rule'", 2, 1),
+    (parse_theory, "fact: a.\n: b.", "expected 'fact' or 'default', found ':'", 2, 1),
+    (parse_theory, "fact: a.\ndefault a : b / b.", "expected ':', found 'a'", 2, 9),
+    (parse_theory, "fact: a.\nfact: b", "expected '.', found end of input", 2, 8),
+    (parse_theory, "fact: a.\nfact: b. c", "expected end of input, found 'c'", 2, 10),
+    (parse_theory, "fact: a.\r\n  default: a : b / b c.", "expected '.', found 'c'", 2, 22),
+    (parse_sequent, "[p ; q]", "expected ';', found ']'", 1, 7),
+    (parse_sequent, "[p ; q ; r] s", "expected end of input, found 's'", 1, 13),
+    (parse_sequent, "![p;;]", "expected '[', found '!'", 1, 1),
+    (parse_antisequent, "[p;;]", "expected '!', found '['", 1, 1),
+    (parse_antisequent, "![", "expected a formula, found end of input", 1, 3),
+    (parse_antisequent, "![ ; ; p,]", "expected a formula, found ']'", 1, 10),
+]
+
+
+@pytest.mark.parametrize("read, text, message, line, column", DOOR_ERRORS,
+                         ids=[f"{read.__name__}-{text!r}" for read, text, *_ in DOOR_ERRORS])
+def test_every_door_reports_its_error(read, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        read(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
+@pytest.mark.parametrize("entry", ["p q", "", "p,", "(p"])
+def test_entry_that_is_not_one_formula_reads_as_none(entry):
+    assert _entry_formula(entry) is None
 
 
 @given(formulas_strategy())
