@@ -21,7 +21,12 @@ every rank of the 2^n subsets, marking the kept ones, and its checker reruns
 the search.  The search takes its entailment test as an argument: the engine
 takes the sequent calculus's answer, and the skeptical checker takes it only
 once check_proof or check_refutation accepts the calculus's proof or
-refutation.
+refutation.  The engine decides ``basis |= f`` over the slice of the basis
+whose atom-connected components share an atom with f: the rest shares no
+atom with that slice or with f, so it changes the answer only when one of
+its components has no all-t model, which one cached sequent per component
+decides.  Certificates still carry proofs and refutations over the whole
+basis.
 Both checkers replay each piece of evidence a certificate carries, so they
 rest on those two calculus checkers and on no other decision procedure.
 Queries, results and certificate parts are immutable named tuples.
@@ -33,7 +38,7 @@ from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .antisequent import AntiSequent3, RefutationTree, check_refutation, refutation_from_doc, refutation_from_failure, refutation_to_doc
-from .sequent import ProofFailure, ProofTree, check_proof, entailment_sequent, proof_from_doc, proof_to_doc, prove
+from .sequent import ProofFailure, ProofTree, Sequent3, check_proof, entailment_sequent, proof_from_doc, proof_to_doc, prove
 from .syntax import (
     Cert,
     Default,
@@ -42,6 +47,7 @@ from .syntax import (
     Not,
     Poss,
     TokenParser,
+    atoms,
     parse_default,
     parse_formula,
     print_default,
@@ -122,9 +128,57 @@ def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree:
     return refutation_from_failure(AntiSequent3.of(basis, basis, (goal,)), _proof(basis, goal))
 
 
+@cache
+def _atoms(f: Formula) -> frozenset[str]:
+    """The atom names of ``f``, as a set."""
+    return frozenset(atoms(f))
+
+
+@cache
+def _unsatisfiable(component: frozenset[Formula]) -> bool:
+    """Whether no model gives every formula of ``component`` the value t:
+    the validity of the sequent ``component | component | (empty)``."""
+    return bool(prove(Sequent3(component, component, frozenset())))
+
+
+@cache
+def _components(basis: frozenset[Formula]
+                ) -> tuple[tuple[frozenset[str], frozenset[Formula]], ...] | None:
+    """The atom-connected components of ``basis``, each with its atoms, or
+    None when one of them has no all-t model, so that ``basis`` entails
+    every formula."""
+    groups: list[tuple[frozenset[str], frozenset[Formula]]] = []
+    for g in basis:
+        names, members, rest = _atoms(g), {g}, []
+        for group in groups:
+            if names.isdisjoint(group[0]):
+                rest.append(group)
+            else:
+                names |= group[0]
+                members |= group[1]
+        rest.append((names, frozenset(members)))
+        groups = rest
+    if any(_unsatisfiable(component) for _, component in groups):
+        return None
+    return tuple(groups)
+
+
+@cache
 def _entailed(basis: frozenset[Formula], f: Formula) -> bool:
-    """Entailment by the sequent calculus: the engine's route."""
-    return bool(_proof(basis, f))
+    """Entailment by the sequent calculus: the engine's route, decided over
+    the slice of ``basis`` that shares atoms with ``f``.  Split the basis
+    into ``R``, the atom-connected components that share an atom with
+    ``f``, and the rest ``S``.  A countermodel of ``R |= f`` and an all-t
+    model of ``S`` have disjoint atoms and so combine, hence ``R + S |= f``
+    exactly when ``R |= f`` or some component of ``S`` has no all-t model;
+    a component of ``R`` without one makes ``R |= f`` as well.
+    Certificates still carry proofs over the whole basis (``_proof``)."""
+    components = _components(basis)
+    if components is None:
+        return True
+    goal = _atoms(f)
+    return bool(_proof(frozenset().union(*(c for names, c in components
+                                           if not names.isdisjoint(goal))), f))
 
 
 def member(e: ExtensionBasis, f: Formula) -> bool:
@@ -404,8 +458,8 @@ def brave_prove(query: BraveSequent) -> BraveProof | BraveFailure:
     """
     search = _Search(DefaultTheory(query.gamma, query.delta))
     for _, e in search:
-        if (all(_proof(e.basis, f) for f in query.sigma)
-                and not any(_proof(e.basis, f) for f in query.theta)):
+        if (all(_entailed(e.basis, f) for f in query.sigma)
+                and not any(_entailed(e.basis, f) for f in query.theta)):
             return _brave_certificate(query, e)
     return BraveFailure(query, search.states)
 
@@ -522,13 +576,11 @@ def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailu
         satisfied = all(ev.satisfied for ev in evidence)
         goal = goal_proof = None
         if satisfied:
-            for f in sorted(query.theta, key=sort_key):
-                proof = _proof(e.basis, f)
-                if proof:
-                    goal, goal_proof = f, proof
-                    break
+            goal = next((f for f in sorted(query.theta, key=sort_key) if _entailed(e.basis, f)),
+                        None)
             if goal is None:
                 return SkepticalFailure(query, e)
+            goal_proof = _proof(e.basis, goal)
         verdicts.append(ExtensionVerdict(e, evidence, satisfied, goal, goal_proof))
     return SkepticalProof(query, _transcript(len(query.delta), kept), tuple(verdicts))
 

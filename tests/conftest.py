@@ -25,7 +25,7 @@ UNARY = (Not, Cert, Poss)
 BINARY = (Impl, And, Or)
 
 
-def formulas_strategy(atom_names=("p", "q", "r")):
+def formulas_strategy(atom_names=("p", "q", "r"), max_leaves=10):
     base = st.sampled_from([Atom(n) for n in atom_names])
 
     def extend(inner):
@@ -38,7 +38,7 @@ def formulas_strategy(atom_names=("p", "q", "r")):
             st.builds(Or, inner, inner),
         )
 
-    return st.recursive(base, extend, max_leaves=10)
+    return st.recursive(base, extend, max_leaves=max_leaves)
 
 
 def depth2_pool() -> list[Formula]:

@@ -11,7 +11,7 @@ import luk3.defaults
 import luk3.semantics
 import oracles
 from mutation import brave_mutants, skeptical_mutants
-from conftest import query_pool
+from conftest import formulas_strategy, query_pool
 from luk3.defaults import (
     BLOCKED_JUST,
     BLOCKED_PREREQ,
@@ -462,8 +462,7 @@ def test_sweep_budget_covers_every_query(monkeypatch):
         skeptical_decide(SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({A})))
     # 20 forked pairs have 2^20 extensions, so their search exceeds the
     # budget; lowered, it is exceeded within a few leaves
-    forked = theory("fact: a.\n" + "".join(f"default: a : z{i} / z{i}.\ndefault: a : ~z{i} / ~z{i}.\n"
-                                           for i in range(20)))
+    forked = forked_pairs(20)
     monkeypatch.setattr(luk3.defaults, "DEFAULT_MAX_STATES", 50)
     with pytest.raises(SearchLimitError):
         extensions(forked)
@@ -471,11 +470,24 @@ def test_sweep_budget_covers_every_query(monkeypatch):
         brave_prove(BraveSequent(forked.facts, forked.defaults, frozenset({MB}), frozenset()))
 
 
-def test_search_meets_the_wide_theory_targets(monkeypatch):
+def forked_pairs(n: int) -> DefaultTheory:
+    return theory("fact: a.\n" + "".join(f"default: a : z{i} / z{i}.\ndefault: a : ~z{i} / ~z{i}.\n"
+                                        for i in range(n)))
+
+
+def test_search_meets_the_wide_theory_targets(monkeypatch, cold_caches):
     """16 independent defaults give their one extension in at most 17 leaf
-    groundings, not 2^16; 8 forked pairs keep all 2^8 extensions.  The
-    search's states (leaves plus cuts) are pinned on these and on the
-    16-default chain."""
+    groundings, not 2^16; 8 and 10 forked pairs keep all 2^8 and 2^10
+    extensions.  The search's states (leaves plus cuts) are pinned on these
+    and on the 16-default chain.  From cold caches, the 10 pairs prove only
+    a few hundred distinct entailments: each is decided over the pair that
+    shares its atoms, not over the whole basis."""
+    forked = forked_pairs(10)
+    assert len(extensions(forked)) == 1024
+    search = luk3.defaults._Search(forked)
+    assert len(list(search)) == 1024
+    assert search.states == 3070
+    assert luk3.defaults._proof.cache_info().currsize <= 300
     calls = count_leaf_groundings(monkeypatch)
     wide = theory("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(16)))
     (e,) = extensions(wide)
@@ -485,8 +497,7 @@ def test_search_meets_the_wide_theory_targets(monkeypatch):
     assert len(list(search)) == 1
     # one leaf, and one cut beside each default decided OUT
     assert search.states == 17
-    forked = theory("fact: a.\n" + "".join(f"default: a : z{i} / z{i}.\ndefault: a : ~z{i} / ~z{i}.\n"
-                                           for i in range(8)))
+    forked = forked_pairs(8)
     assert len(extensions(forked)) == 256
     search = luk3.defaults._Search(forked)
     assert len(list(search)) == 256
@@ -494,6 +505,37 @@ def test_search_meets_the_wide_theory_targets(monkeypatch):
     search = luk3.defaults._Search(chain(16))
     assert len(list(search)) == 2
     assert search.states == 32
+
+
+SMALL_FORMULAS = {g: formulas_strategy(g, max_leaves=4) for g in ("p", "pq", "r", "rs", "s", "u")}
+
+
+@st.composite
+def sliced_entailments(draw):
+    """A basis of formulas over 2 or 3 disjoint atom groups and a goal over
+    one group, over two, or over an atom the basis does not hold."""
+    groups = [SMALL_FORMULAS[g]
+              for g in draw(st.sampled_from([("pq", "r"), ("p", "rs"), ("pq", "r", "s")]))]
+    basis = frozenset(draw(st.lists(st.one_of(groups), max_size=4)))
+    two = st.builds(lambda op, f, g: op(f, g), st.sampled_from([And, Or, Impl]), *groups[:2])
+    return basis, draw(st.one_of(*groups, two, SMALL_FORMULAS["u"]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sliced_entailments())
+@example((frozenset(), parse_formula("p -> p")))
+@example((frozenset(), parse_formula("p | ~p")))
+@example((frozenset({parse_formula("p & q")}), parse_formula("u -> u")))
+@example((frozenset({parse_formula("p & q")}), parse_formula("M u")))
+# a component without an all-t model entails every goal, though it shares
+# no atom with it
+@example((frozenset({parse_formula("p"), parse_formula("r"), parse_formula("~r")}),
+          parse_formula("q")))
+@example((frozenset({parse_formula("p | q"), parse_formula("L s & ~s")}), parse_formula("~p")))
+def test_sliced_entailment_agrees_with_truth_tables(drawn):
+    basis, f = drawn
+    assert (luk3.defaults._entailed(basis, f) == oracles.entailed(basis, f)
+            == bool(prove(entailment_sequent(basis, f))))
 
 
 @st.composite
@@ -623,9 +665,12 @@ def test_skeptical_brave_duality_on_small_sweep(family):
 
 @pytest.fixture
 def cold_caches():
-    """The calculus's caches and the skeptical checker's memo, empty when the
-    test starts and emptied again when it ends."""
-    caches = (luk3.defaults._proof, luk3.defaults._refutation, luk3.defaults._certified)
+    """The calculus's caches, the engine's sliced decisions and the skeptical
+    checker's memo, empty when the test starts and emptied again when it
+    ends."""
+    caches = (luk3.defaults._proof, luk3.defaults._refutation, luk3.defaults._entailed,
+              luk3.defaults._components, luk3.defaults._unsatisfiable, luk3.defaults._atoms,
+              luk3.defaults._certified)
     for c in caches:
         c.cache_clear()
     yield
