@@ -41,6 +41,7 @@ from .sequent import (
     ProofFailure,
     Sequent3,
     _extend_witness,
+    _index,
     _node_fields,
     _parse_triple,
     _read_components,
@@ -103,10 +104,12 @@ def _antirule_inserts(values: tuple[TruthValue, ...]) -> tuple[tuple[int, int], 
 def apply_antirule(a: AntiSequent3, principal: Formula, position: int,
                    values: tuple[TruthValue, ...]) -> AntiSequent3:
     """Premise: drop the principal, pin each argument to its committed value by
-    inserting it into both other components."""
+    inserting it into both other components.  ``position`` is 1, 2 or 3
+    (ValueError otherwise)."""
     args = children(principal)
     comps = list(a)
-    comps[position - 1] = comps[position - 1] - {principal}
+    i = _index(position)
+    comps[i] = comps[i] - {principal}
     for k, j in _antirule_inserts(values):
         comps[k] = comps[k] | {args[j]}
     return type(a)(*comps)
@@ -187,12 +190,11 @@ def _outermost(a: AntiSequent3) -> tuple[Formula, int] | None:
     best = None
     for position, comp in enumerate(a, 1):
         for f in comp:
-            if isinstance(f, Atom):
-                continue
-            rank = (-f._depth, f._key)
-            if best is None or rank < best_rank:
-                best, best_rank = (f, position), rank
-    return best
+            depth = f._depth  # an atom has depth 0
+            if depth and (best is None or depth > most
+                          or depth == most and f._key < best._key):
+                best, most, at = f, depth, position
+    return None if best is None else (best, at)
 
 
 def countermodel_of(tree: RefutationTree) -> Interpretation:

@@ -12,7 +12,9 @@ without the principal, plus argument j inserted into the component of v for
 every literal of the clause.  Every generated rule is invertible (the
 conclusion is true under an interpretation iff all premises are), so backward
 search needs no backtracking, and reaching a non-axiomatic atomic sequent
-refutes the root definitively.
+refutes the root definitively.  The search reads each node's rule from a table
+keyed by the principal's class and position, and builds each premise only
+after the one before it is proved, so a failed premise leaves the rest unbuilt.
 
 Sequents are tuples of their three components.  ``ProofFailure`` and
 ``RuleInstance`` are immutable named tuples; ``ProofTree`` is a record on
@@ -25,19 +27,17 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from operator import itemgetter
-from typing import Iterable, NamedTuple
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .semantics import VALUES, Interpretation, TruthValue, apply_connective, atomic_countermodel
 from .syntax import (
     ARITY,
-    Atom,
     Formula,
     ParseError,
     TokenParser,
     _Record,
     atoms,
-    children,
     connective,
     print_formula,
     sort_key,
@@ -62,8 +62,15 @@ __all__ = [
     "proof_to_doc",
     "prove",
     "prove_entailment",
-    "select_principal",
 ]
+
+
+def _index(position: int) -> int:
+    """The tuple index of component ``position``; ValueError unless it is
+    1, 2 or 3 (a plain index would wrap 0 and -1 round to the end)."""
+    if not 1 <= position <= 3:
+        raise ValueError(f"no component at position {position!r}")
+    return position - 1
 
 
 class ComponentTriple(tuple):
@@ -112,11 +119,12 @@ class ComponentTriple(tuple):
         return tuple(self)
 
     def component(self, position: int) -> frozenset[Formula]:
-        return self[position - 1]
+        """The component at ``position`` (1, 2 or 3; ValueError otherwise)."""
+        return self[_index(position)]
 
     def with_component(self, position: int, formulas: frozenset[Formula]):
         comps = list(self)
-        comps[position - 1] = formulas
+        comps[_index(position)] = formulas
         return type(self)(*comps)
 
     def atoms(self) -> tuple[str, ...]:
@@ -180,33 +188,55 @@ class RuleInstance(NamedTuple):
     conclusion: Sequent3
 
 
-@cache
-def _rule(conn: str, position: int) -> tuple[str, tuple[tuple[tuple[int, int], ...], ...]]:
-    """The name of the rule for ``conn`` at ``position``, and the templates
-    of ``generate_rules(conn, position)`` as (component index, argument
-    index) pairs, in template order."""
-    inserts = tuple(tuple((v.rank, j) for j, v in template)
-                    for template in generate_rules(conn, position))
-    return f"{conn}:{position}", inserts
+#: One insertion of a premise: (component index, getter of the argument).
+Insert = tuple[int, Callable[[Formula], Formula]]
+Rule = tuple[str, tuple[tuple[Insert, ...], ...]]
+
+#: Rule name and insert templates by (principal class, position), entered
+#: on first use: building all 18 rules at import would cost every process.
+_RULES: dict[tuple[type, int], Rule] = {}
 
 
-def instantiate(conclusion: Sequent3, principal: Formula, position: int) -> RuleInstance:
-    """Apply the generated rule for the principal's connective at ``position``."""
-    conn = connective(principal)
-    if conn is None:
-        raise ValueError("cannot decompose an atom")
-    name, templates = _rule(conn, position)
-    args = children(principal)
+def _rule(principal: Formula, position: int) -> Rule:
+    """The name of the rule decomposing ``principal`` at ``position``, and
+    the templates of ``generate_rules`` for it as (component index, argument
+    getter) pairs, in template order.  ValueError for an atom or for a
+    position outside 1-3."""
+    cls = type(principal)
+    rule = _RULES.get((cls, position))
+    if rule is None:
+        conn = connective(principal)
+        if conn is None:
+            raise ValueError("cannot decompose an atom")
+        _index(position)  # ValueError outside 1-3
+        getters = [attrgetter(name) for name in cls.__match_args__]
+        inserts = tuple(tuple((v.rank, getters[j]) for j, v in template)
+                        for template in generate_rules(conn, position))
+        rule = _RULES[cls, position] = (f"{conn}:{position}", inserts)
+    return rule
+
+
+def _premises(conclusion: Sequent3, principal: Formula, position: int,
+              templates: tuple[tuple[Insert, ...], ...]) -> Iterator[Sequent3]:
+    """The premises of a rule in template order, each built only when asked
+    for: the conclusion without the principal, plus each literal's argument
+    inserted by a union of its own."""
     base = list(conclusion)
     base[position - 1] = base[position - 1] - {principal}
     make = type(conclusion)
-    premises = []
     for inserts in templates:
         comps = base.copy()
-        for k, j in inserts:
-            comps[k] = comps[k] | {args[j]}
-        premises.append(tuple.__new__(make, comps))  # make(*comps) without a Python call
-    return RuleInstance(name, principal, position, tuple(premises), conclusion)
+        for k, get in inserts:
+            comps[k] = comps[k] | {get(principal)}
+        yield tuple.__new__(make, comps)  # make(*comps) without a Python call
+
+
+def instantiate(conclusion: Sequent3, principal: Formula, position: int) -> RuleInstance:
+    """Apply the generated rule for the principal's connective at ``position``
+    (1, 2 or 3); ValueError for another position or an atom."""
+    name, templates = _rule(principal, position)
+    premises = tuple(_premises(conclusion, principal, position, templates))
+    return RuleInstance(name, principal, position, premises, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +247,6 @@ def is_axiom(s: Sequent3) -> bool:
     """Some formula occurs in all three components, so whichever of the three
     values it takes, one component's claim holds."""
     return bool(s.gamma1 & s.gamma2 & s.gamma3)
-
-
-def select_principal(s: ComponentTriple) -> tuple[Formula, int] | None:
-    """Canonically least non-atomic formula and its least position, or None."""
-    best = None
-    for position, comp in enumerate(s, 1):
-        for f in comp:
-            if isinstance(f, Atom):
-                continue
-            key = f._key  # sort_key(f), read off the node
-            if best is None or key < best_key:
-                best, best_key = (f, position), key
-    return best
 
 
 class ProofTree(_Record):
@@ -277,6 +294,11 @@ def prove(s: Sequent3) -> ProofTree | ProofFailure:
     sequents within one search share one subtree.  The memo that shares
     them is the call's own and is freed when the call returns: the search
     builds no reference cycle.
+
+    Each node takes one frame: the principal is the canonically least
+    non-atomic formula (at its least position), its rule is read from a
+    table by the principal's class and position, and each premise is built
+    only once the one before it is proved.
     """
     return _search(s, {})
 
@@ -286,22 +308,29 @@ def _search(s: Sequent3, memo: dict[Sequent3, ProofTree | ProofFailure]
     hit = memo.get(s)
     if hit is not None:
         return hit
-    if is_axiom(s):
+    if s[0] & s[1] & s[2]:  # is_axiom(s)
         result: ProofTree | ProofFailure = ProofTree(s, "axiom")
     else:
-        selected = select_principal(s)
-        if selected is None:
+        principal = None
+        for pos, comp in enumerate(s, 1):
+            for f in comp:
+                if f._depth:  # an atom has depth 0
+                    key = f._key  # sort_key(f), read off the node
+                    if principal is None or key < least:
+                        principal, least, position = f, key, pos
+        if principal is None:
             result = ProofFailure(s)
         else:
-            inst = instantiate(s, *selected)
+            rule = _RULES.get((type(principal), position))
+            name, templates = rule if rule is not None else _rule(principal, position)
             subproofs = []
-            for premise in inst.premises:
+            for premise in _premises(s, principal, position, templates):
                 sub = _search(premise, memo)
                 if not sub:
                     memo[s] = sub
                     return sub
                 subproofs.append(sub)
-            result = ProofTree(s, inst.name, tuple(subproofs))
+            result = ProofTree(s, name, tuple(subproofs))
     memo[s] = result
     return result
 

@@ -8,6 +8,8 @@ shared across criteria.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from time import perf_counter
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ import pytest
 import oracles
 from conftest import query_pool
 from mutation import brave_mutants, proof_mutants, refutation_mutants, skeptical_mutants
-from luk3.antisequent import AntiSequent3, check_refutation, refute
+from luk3.antisequent import AntiSequent3, check_refutation, refutation_to_doc, refute
 from luk3.defaults import (
     BraveSequent,
     SignedConstraint,
@@ -30,7 +32,7 @@ from luk3.defaults import (
     skeptical_decide,
 )
 from luk3.semantics import enumerate_interpretations, evaluate, tt_sequent_valid
-from luk3.sequent import check_proof, prove
+from luk3.sequent import check_proof, failure_countermodel, proof_to_doc, prove
 from luk3.syntax import Atom, Cert, DefaultTheory, Impl, Not, Poss, atoms, parse_theory, print_formula
 
 SEED = 20260809
@@ -44,6 +46,12 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 #: Criterion 7's audit: genuine certificates, and single-node mutants, all rejected.
 AUDITED_CERTIFICATES = 1930
 AUDITED_MUTANTS = 48564
+
+#: The corpus's certificates and countermodels, pinned: SHA-256 over the
+#: canonical JSON of every proof and refutation document and the text of
+#: every failed proof's countermodel, and the distinct nodes of the proofs.
+CORPUS_ANSWERS_SHA256 = "905ad23e6688a84ff3f2bd6149cb51629d986bb01bd972f749a9dab19a7d9fb9"
+CORPUS_PROOF_NODES = 23564
 
 
 @pytest.fixture(scope="session")
@@ -251,6 +259,38 @@ def test_criterion_7_certificate_audit(calculus_runs, sweep):
            f"{failures} failures, {seconds:.1f}s")
     assert failures == 0
     assert (audited, rejected_ok) == (AUDITED_CERTIFICATES, AUDITED_MUTANTS)
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _distinct_nodes(tree) -> int:
+    seen = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.premises)
+    return len(seen)
+
+
+def test_corpus_answers_are_pinned(calculus_runs):
+    # every proof tree, failure countermodel and refutation chain of the
+    # corpus stays byte-identical, and the proofs keep their size
+    digest = hashlib.sha256()
+    nodes = 0
+    for s, proof in calculus_runs.proofs:
+        if proof:
+            digest.update(_canonical(proof_to_doc(proof)).encode() + b"\n")
+            nodes += _distinct_nodes(proof)
+        else:
+            digest.update(failure_countermodel(proof, s).to_text().encode() + b"\n")
+    for _, refutation in calculus_runs.refutations:
+        if refutation:
+            digest.update(_canonical(refutation_to_doc(refutation)).encode() + b"\n")
+    assert (digest.hexdigest(), nodes) == (CORPUS_ANSWERS_SHA256, CORPUS_PROOF_NODES)
 
 
 def test_criterion_8_skeptical_brave_duality(sweep):

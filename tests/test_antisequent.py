@@ -93,6 +93,14 @@ def test_antirules_are_sound(conn, position):
                         assert not tt_sequent_true(as_sequent(conclusion), i)
 
 
+@pytest.mark.parametrize("position", [0, -1, 4])
+def test_apply_antirule_rejects_positions_outside_1_to_3(position):
+    # index 0 and -1 would wrap round to the last components
+    a = AntiSequent3.of((Not(P),), (Not(P),), (Not(P),))
+    with pytest.raises(ValueError, match="no component at position"):
+        apply_antirule(a, Not(P), position, (T,))
+
+
 class TestIsAntiaxiom:
     def test_single_goal_atom(self):
         a = AntiSequent3.of((), (), (P,))

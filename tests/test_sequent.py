@@ -109,6 +109,14 @@ def test_rules_are_invertible(conn, position):
                 assert conclusion_true == premises_true
 
 
+@pytest.mark.parametrize("position", [0, -1, 4])
+def test_instantiate_rejects_positions_outside_1_to_3(position):
+    # index 0 and -1 would wrap round to the last components
+    s = Sequent3.of((Not(P),), (Not(P),), (Not(P),))
+    with pytest.raises(ValueError, match="no component at position"):
+        instantiate(s, Not(P), position)
+
+
 @pytest.mark.parametrize("cls", [Sequent3, AntiSequent3])
 class TestSequentValue:
     """Sequents and anti-sequents are immutable values, equal per class."""
@@ -155,6 +163,16 @@ class TestSequentValue:
         t = s.with_component(2, frozenset({Q}))
         assert type(t) is cls and t.components == (self.COMPS[0], frozenset({Q}), self.COMPS[2])
         assert s.atoms() == ("p",)
+
+    @pytest.mark.parametrize("position", [0, -1, 4])
+    def test_component_rejects_positions_outside_1_to_3(self, cls, position):
+        with pytest.raises(ValueError, match="no component at position"):
+            cls(*self.COMPS).component(position)
+
+    @pytest.mark.parametrize("position", [0, -1, 4])
+    def test_with_component_rejects_positions_outside_1_to_3(self, cls, position):
+        with pytest.raises(ValueError, match="no component at position"):
+            cls(*self.COMPS).with_component(position, frozenset({Q}))
 
 
 class TestRuleInstance:
