@@ -44,6 +44,7 @@ from .sequent import (
     _index,
     _node_fields,
     _parse_triple,
+    _premises,
     _read_components,
     failure_countermodel,
     print_sequent,
@@ -104,15 +105,11 @@ def _antirule_inserts(values: tuple[TruthValue, ...]) -> tuple[tuple[int, int], 
 def apply_antirule(a: AntiSequent3, principal: Formula, position: int,
                    values: tuple[TruthValue, ...]) -> AntiSequent3:
     """Premise: drop the principal, pin each argument to its committed value by
-    inserting it into both other components.  ``position`` is 1, 2 or 3
-    (ValueError otherwise)."""
-    args = children(principal)
-    comps = list(a)
-    i = _index(position)
-    comps[i] = comps[i] - {principal}
-    for k, j in _antirule_inserts(values):
-        comps[k] = comps[k] | {args[j]}
-    return type(a)(*comps)
+    inserting it into both other components.  It is built by the sequent
+    calculus's premise builder, with ``_antirule_inserts`` as the one
+    template.  ``position`` is 1, 2 or 3 (ValueError otherwise)."""
+    _index(position)
+    return next(_premises(a, principal, position, (_antirule_inserts(values),)))
 
 
 def is_antiaxiom(a: AntiSequent3) -> Interpretation | None:
@@ -217,11 +214,12 @@ def check_refutation(tree: RefutationTree, conclusion: AntiSequent3 | None = Non
 
     Each step must apply its named rule to the one formula the named
     component loses, and the leaf must be an atomic anti-axiom whose witness
-    falsifies its sequent reading.  Like ``check_proof``, this checks the
-    derivation's steps and its leaf, and evaluates nothing else: a matched
-    step is sound (an interpretation that falsifies its premise falsifies
-    its conclusion) and keeps its conclusion's atoms, so the witness,
-    extended once to the root's atoms, falsifies every node of the chain.
+    names exactly the leaf's atoms, as ``refute`` writes it, and falsifies
+    its sequent reading.  Like ``check_proof``, this checks the derivation's
+    steps and its leaf, and evaluates nothing else: a matched step is sound
+    (an interpretation that falsifies its premise falsifies its conclusion)
+    and keeps its conclusion's atoms, so the witness, extended to the root's
+    atoms, falsifies every node of the chain.
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
@@ -234,7 +232,9 @@ def check_refutation(tree: RefutationTree, conclusion: AntiSequent3 | None = Non
         return False
     if any(not isinstance(f, Atom) for comp in node.conclusion.components for f in comp):
         return False
-    return not tt_sequent_true(node.conclusion, _extend_witness(node.witness, tree.conclusion))
+    if node.witness.atoms != node.conclusion.atoms():
+        return False
+    return not tt_sequent_true(node.conclusion, node.witness)
 
 
 @cache

@@ -610,7 +610,8 @@ def check_brave_proof(proof: BraveProof) -> bool:
 
     No search is rerun: groundedness proofs are checked against the replayed
     basis at their step, and the final proof/refutation obligations must
-    cover exactly the accumulated Sigma and Theta.  A query that repeats a
+    list exactly the accumulated Sigma and Theta, each formula once and in
+    canonical order, as brave_prove writes them.  A query that repeats a
     default is rejected, as brave_prove refuses it.
     """
     q = proof.query
@@ -651,9 +652,9 @@ def check_brave_proof(proof: BraveProof) -> bool:
             return False
     if remaining or proof.final_basis != basis:
         return False
-    if {f for f, _ in proof.sigma_proofs} != sigma:
+    if [f for f, _ in proof.sigma_proofs] != sorted(sigma, key=sort_key):
         return False
-    if {f for f, _ in proof.theta_refutations} != theta:
+    if [f for f, _ in proof.theta_refutations] != sorted(theta, key=sort_key):
         return False
     return (all(_replayed(basis, f, t, None) for f, t in proof.sigma_proofs)
             and all(_replayed(basis, f, None, r) is False for f, r in proof.theta_refutations))

@@ -20,9 +20,9 @@ from __future__ import annotations
 from enum import Enum
 from functools import total_ordering
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .syntax import And, Atom, Cert, Formula, Impl, Not, Or, Poss, _Record, atoms
+from .syntax import _CONNECTIVE, Atom, Formula, _Record, atoms, children
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequent import Sequent3
@@ -110,6 +110,9 @@ def poss(v: TruthValue) -> TruthValue:
 
 _TABLES = {"~": neg, "->": impl, "&": conj, "|": disj, "L": cert, "M": poss}
 
+#: The same tables by formula class, the key that ``evaluate`` has at hand.
+_TABLE_OF = {cls: _TABLES[conn] for cls, conn in _CONNECTIVE.items()}
+
 
 def apply_connective(conn: str, args: tuple[TruthValue, ...]) -> TruthValue:
     """Look up a connective's truth table."""
@@ -136,9 +139,13 @@ class Interpretation(_Record):
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, "TruthValue | str"]) -> "Interpretation":
-        return cls(tuple(
-            (name, v if isinstance(v, TruthValue) else TruthValue.from_symbol(v))
-            for name, v in dict(mapping).items()))
+        """ValueError for a name that is not an atom's or a value that is
+        not a truth value or its symbol."""
+        pairs = []
+        for name, v in dict(mapping).items():
+            Atom(name)  # validates the atom name
+            pairs.append((name, v if isinstance(v, TruthValue) else TruthValue.from_symbol(v)))
+        return cls(tuple(pairs))
 
     @classmethod
     def of(cls, **values: "TruthValue | str") -> "Interpretation":
@@ -183,21 +190,14 @@ _set_table = Interpretation._table.__set__
 
 def evaluate(f: Formula, interp: Interpretation) -> TruthValue:
     """Truth value of ``f`` under ``interp``; every atom of ``f`` must be declared."""
-    match f:
-        case Atom(name=name):
-            return interp.value(name)
-        case Not(arg=a):
-            return neg(evaluate(a, interp))
-        case Cert(arg=a):
-            return cert(evaluate(a, interp))
-        case Poss(arg=a):
-            return poss(evaluate(a, interp))
-        case Impl(left=l, right=r):
-            return impl(evaluate(l, interp), evaluate(r, interp))
-        case And(left=l, right=r):
-            return conj(evaluate(l, interp), evaluate(r, interp))
-        case Or(left=l, right=r):
-            return disj(evaluate(l, interp), evaluate(r, interp))
+    table = _TABLE_OF.get(type(f))
+    if table is not None:
+        args = children(f)
+        if len(args) == 1:
+            return table(evaluate(args[0], interp))
+        return table(evaluate(args[0], interp), evaluate(args[1], interp))
+    if isinstance(f, Atom):
+        return interp.value(f.name)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -224,10 +224,7 @@ class Verdict(NamedTuple):
 
 def tt_valid(f: Formula) -> Verdict:
     """Is ``f`` true under every interpretation of its atoms?"""
-    for i in enumerate_interpretations(atoms(f)):
-        if evaluate(f, i) is not TruthValue.T:
-            return Verdict(False, i)
-    return Verdict(True)
+    return _first_counter(atoms(f), lambda i: evaluate(f, i) is TruthValue.T)
 
 
 def tt_entails(premises: Iterable[Formula], goal: Formula) -> Verdict:
@@ -239,11 +236,9 @@ def tt_entails(premises: Iterable[Formula], goal: Formula) -> Verdict:
     names = set(atoms(goal))
     for p in premises:
         names.update(atoms(p))
-    for i in enumerate_interpretations(names):
-        if (all(evaluate(p, i) is TruthValue.T for p in premises)
-                and evaluate(goal, i) is not TruthValue.T):
-            return Verdict(False, i)
-    return Verdict(True)
+    return _first_counter(names, lambda i: (
+        not all(evaluate(p, i) is TruthValue.T for p in premises)
+        or evaluate(goal, i) is TruthValue.T))
 
 
 def tt_sequent_true(sequent: "Sequent3", interp: Interpretation) -> bool:
@@ -262,8 +257,13 @@ def tt_sequent_valid(sequent: "Sequent3") -> Verdict:
     for comp in sequent.components:
         for f in comp:
             names.update(atoms(f))
+    return _first_counter(names, lambda i: tt_sequent_true(sequent, i))
+
+
+def _first_counter(names: Iterable[str], holds: Callable[[Interpretation], bool]) -> Verdict:
+    """The first interpretation of ``names`` where ``holds`` fails is the counterexample."""
     for i in enumerate_interpretations(names):
-        if not tt_sequent_true(sequent, i):
+        if not holds(i):
             return Verdict(False, i)
     return Verdict(True)
 

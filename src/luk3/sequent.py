@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .semantics import VALUES, Interpretation, TruthValue, apply_connective, atomic_countermodel
 from .syntax import (
@@ -38,6 +38,7 @@ from .syntax import (
     TokenParser,
     _Record,
     atoms,
+    children,
     connective,
     print_formula,
     sort_key,
@@ -188,8 +189,8 @@ class RuleInstance(NamedTuple):
     conclusion: Sequent3
 
 
-#: One insertion of a premise: (component index, getter of the argument).
-Insert = tuple[int, Callable[[Formula], Formula]]
+#: One insertion of a premise: (component index, argument index).
+Insert = tuple[int, int]
 Rule = tuple[str, tuple[tuple[Insert, ...], ...]]
 
 #: Rule name and insert templates by (principal class, position), entered
@@ -200,8 +201,8 @@ _RULES: dict[tuple[type, int], Rule] = {}
 def _rule(principal: Formula, position: int) -> Rule:
     """The name of the rule decomposing ``principal`` at ``position``, and
     the templates of ``generate_rules`` for it as (component index, argument
-    getter) pairs, in template order.  ValueError for an atom or for a
-    position outside 1-3."""
+    index) inserts, in template order, the form of the anti-rules' inserts.
+    ValueError for an atom or for a position outside 1-3."""
     cls = type(principal)
     rule = _RULES.get((cls, position))
     if rule is None:
@@ -209,25 +210,26 @@ def _rule(principal: Formula, position: int) -> Rule:
         if conn is None:
             raise ValueError("cannot decompose an atom")
         _index(position)  # ValueError outside 1-3
-        getters = [attrgetter(name) for name in cls.__match_args__]
-        inserts = tuple(tuple((v.rank, getters[j]) for j, v in template)
+        inserts = tuple(tuple((v.rank, j) for j, v in template)
                         for template in generate_rules(conn, position))
         rule = _RULES[cls, position] = (f"{conn}:{position}", inserts)
     return rule
 
 
-def _premises(conclusion: Sequent3, principal: Formula, position: int,
-              templates: tuple[tuple[Insert, ...], ...]) -> Iterator[Sequent3]:
-    """The premises of a rule in template order, each built only when asked
-    for: the conclusion without the principal, plus each literal's argument
-    inserted by a union of its own."""
+def _premises(conclusion: ComponentTriple, principal: Formula, position: int,
+              templates: tuple[tuple[Insert, ...], ...]) -> Iterator[ComponentTriple]:
+    """The premises of a rule or anti-rule in template order, each of the
+    conclusion's class and built only when asked for: the conclusion without
+    the principal, plus each insert's argument put into its component by a
+    union of its own."""
+    args = children(principal)
     base = list(conclusion)
     base[position - 1] = base[position - 1] - {principal}
     make = type(conclusion)
     for inserts in templates:
         comps = base.copy()
-        for k, get in inserts:
-            comps[k] = comps[k] | {get(principal)}
+        for k, j in inserts:
+            comps[k] = comps[k] | {args[j]}
         yield tuple.__new__(make, comps)  # make(*comps) without a Python call
 
 

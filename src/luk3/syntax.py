@@ -31,7 +31,8 @@ parser through ``TokenParser.read``, its one whole-text entry.
 Formula nodes are hash-consed: every constructor looks the node up in a weak
 table that threads enter under one lock, so equal live formulas are one
 object and compare by identity.  Each node stores its hash (its field
-tuple's), its sort key and its depth, so none depends on the formula's size.
+tuple's), its sort key, its depth and its arguments, so none depends on the
+formula's size.
 Formulas, ``ProofTree`` and ``Interpretation`` share one frozen-record base,
 ``_Record``.  ``Default`` and ``DefaultTheory`` are immutable named tuples
 that validate their fields on construction and in ``_replace``.
@@ -140,11 +141,12 @@ class Formula(_Record):
 
     Constructing a node equal to a live one returns that object, in any
     thread, so ``==`` is identity; the hash is still the field tuple's.  A
-    copy is the node itself.  Each node stores its hash, its sort key and its
-    depth; all three are built in O(1) from the children's stored values.
+    copy is the node itself.  Each node stores its hash, its sort key, its
+    depth and its arguments (``children``); all four are built in O(1) from
+    the children's stored values.
     """
 
-    __slots__ = ("_hash", "_key", "_depth", "__weakref__")
+    __slots__ = ("_hash", "_key", "_depth", "_args", "__weakref__")
 
     __eq__ = object.__eq__
 
@@ -176,9 +178,11 @@ def _intern(key: tuple, order: tuple, depth: int) -> Formula:
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, values):
                 object.__setattr__(node, name, value)
-            object.__setattr__(node, "_hash", hash(tuple(values)))
+            fields = tuple(values)
+            object.__setattr__(node, "_hash", hash(fields))
             object.__setattr__(node, "_key", order)
             object.__setattr__(node, "_depth", depth)
+            object.__setattr__(node, "_args", fields if depth else ())  # an atom has depth 0
             _interned[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
@@ -255,6 +259,9 @@ class Poss(_Unary):
 _RANK = {Atom: 0, Not: 1, Impl: 2, And: 3, Or: 4, Cert: 5, Poss: 6}
 _CONNECTIVE = {Not: "~", Impl: "->", And: "&", Or: "|", Cert: "L", Poss: "M"}
 
+#: The class of each prefix token, which ``TokenParser.unary`` reads.
+_PREFIX = {token: cls for cls, token in _CONNECTIVE.items() if issubclass(cls, _Unary)}
+
 #: Argument count of each connective token.
 ARITY = {"~": 1, "->": 2, "&": 2, "|": 2, "L": 1, "M": 1}
 
@@ -265,12 +272,8 @@ def connective(f: Formula) -> str | None:
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    """Immediate subformulas, left to right."""
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, _Unary):
-        return (f.arg,)
-    return (f.left, f.right)  # type: ignore[union-attr]
+    """Immediate subformulas, left to right; stored on the node."""
+    return f._args
 
 
 def sort_key(f: Formula) -> tuple:
@@ -473,12 +476,10 @@ class TokenParser:
         return f
 
     def unary(self) -> Formula:
-        if self.accept("~"):
-            return Not(self.unary())
-        if self.accept("L"):
-            return Cert(self.unary())
-        if self.accept("M"):
-            return Poss(self.unary())
+        prefix = _PREFIX.get(self.peek().kind)
+        if prefix is not None:
+            self._pos += 1
+            return prefix(self.unary())
         tok = self.accept("atom")
         if tok is not None:
             return Atom(tok.text)
@@ -556,7 +557,10 @@ def parse_theory(text: str) -> DefaultTheory:
 # ---------------------------------------------------------------------------
 # Printer
 
-_PREC = {"->": 1, "|": 2, "&": 3}
+#: Each binary token's binding strength, and the floors of its left and
+#: right operands: an operand binding less tightly than its floor is
+#: parenthesized.  A prefix operand's floor is above them all.
+_BINARY = {"->": (1, 2, 1), "|": (2, 2, 3), "&": (3, 3, 4)}
 
 
 def print_formula(f: Formula) -> str:
@@ -567,20 +571,13 @@ def print_formula(f: Formula) -> str:
 def _render(f: Formula, floor: int) -> str:
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Not):
-        return "~" + _render(f.arg, 4)
-    if isinstance(f, Cert):
-        return "L " + _render(f.arg, 4)
-    if isinstance(f, Poss):
-        return "M " + _render(f.arg, 4)
-    if isinstance(f, And):
-        text = _render(f.left, 3) + " & " + _render(f.right, 4)
-    elif isinstance(f, Or):
-        text = _render(f.left, 2) + " | " + _render(f.right, 3)
-    else:
-        assert isinstance(f, Impl)
-        text = _render(f.left, 2) + " -> " + _render(f.right, 1)
-    return f"({text})" if _PREC[connective(f)] < floor else text
+    token = _CONNECTIVE[type(f)]
+    binary = _BINARY.get(token)
+    if binary is None:  # a prefix; a letter is followed by a blank
+        return token + (" " if token.isalpha() else "") + _render(f.arg, 4)
+    strength, left, right = binary
+    text = f"{_render(f.left, left)} {token} {_render(f.right, right)}"
+    return f"({text})" if strength < floor else text
 
 
 def print_default(d: Default) -> str:

@@ -381,6 +381,30 @@ def test_checker_evaluates_the_leaf_only(corpus_refutations, monkeypatch):
             assert calls == 1
 
 
+@pytest.mark.parametrize("text, witness", [
+    ("![ ; ; p | ~p]", {"p": "u", "zz": "t"}),  # an atom the leaf lacks
+    ("![ ; ; p]", {}),  # f for p would falsify the leaf
+])
+def test_checker_requires_the_leaf_atoms_in_the_witness(text, witness):
+    a = parse_antisequent(text)
+    result = refute(a)
+    leaf = result
+    while leaf.premise is not None:
+        leaf = leaf.premise
+    assert check_refutation(result, a)
+    forged = _with_leaf(result, leaf._replace(witness=Interpretation.from_mapping(witness)))
+    assert not check_refutation(forged, a)
+    assert not check_refutation(refutation_from_doc(refutation_to_doc(forged)), a)
+
+
+@pytest.mark.parametrize("name", ["", "P", "1bad"])
+def test_reader_rejects_a_witness_name_that_is_not_an_atom(name):
+    doc = refutation_to_doc(refute(parse_antisequent("![ ; ; p]")))
+    doc["witness"] = {name: "f"}
+    with pytest.raises(ValueError, match="invalid atom name"):
+        refutation_from_doc(doc)
+
+
 @pytest.mark.parametrize("rule", ["~:1@t", "~:4@u", "->:1@t", "~:1@ u", "&:1@t,t,t"])
 def test_rejects_near_miss_rule_names(rule):
     a = parse_antisequent("![~p ; ; ~p]")

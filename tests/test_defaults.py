@@ -268,6 +268,21 @@ class TestBrave:
         assert not check_brave_proof(brave_proof_from_doc(json.loads(json.dumps(
             brave_proof_to_doc(twice)))))
 
+    def test_checker_requires_each_obligation_once_in_canonical_order(self):
+        proof = brave_prove(BraveSequent(T_FORK.facts, T_FORK.defaults,
+                                         frozenset({MB}), frozenset({B})))
+        sigma, theta = proof.sigma_proofs, proof.theta_refutations
+        assert len(sigma) >= 2 and len(theta) >= 2
+        variants = [proof._replace(sigma_proofs=sigma + sigma[:1]),
+                    proof._replace(theta_refutations=theta + theta[:1]),
+                    proof._replace(sigma_proofs=(sigma[1], sigma[0]) + sigma[2:]),
+                    proof._replace(theta_refutations=(theta[1], theta[0]) + theta[2:])]
+        assert check_brave_proof(proof)
+        for variant in variants:
+            assert not check_brave_proof(variant)
+            assert not check_brave_proof(brave_proof_from_doc(json.loads(json.dumps(
+                brave_proof_to_doc(variant)))))
+
     def test_deterministic(self):
         q = BraveSequent(T_FORK.facts, T_FORK.defaults, frozenset({MB}), frozenset())
         assert brave_prove(q) == brave_prove(q)
@@ -665,12 +680,13 @@ def test_skeptical_brave_duality_on_small_sweep(family):
 
 @pytest.fixture
 def cold_caches():
-    """The calculus's caches, the engine's sliced decisions and the skeptical
-    checker's memo, empty when the test starts and emptied again when it
-    ends."""
-    caches = (luk3.defaults._proof, luk3.defaults._refutation, luk3.defaults._entailed,
-              luk3.defaults._components, luk3.defaults._unsatisfiable, luk3.defaults._atoms,
-              luk3.defaults._certified)
+    """Every cache of luk3.defaults (the calculus's caches, the engine's
+    sliced decisions and the skeptical checker's memo among them), empty
+    when the test starts and emptied again when it ends."""
+    named = {name: c for name, c in vars(luk3.defaults).items() if hasattr(c, "cache_clear")}
+    assert {"_proof", "_refutation", "_entailed", "_components", "_unsatisfiable", "_atoms",
+            "_certified"} <= named.keys()
+    caches = named.values()
     for c in caches:
         c.cache_clear()
     yield

@@ -181,6 +181,13 @@ class TestInterpretation:
         with pytest.raises(ValueError):
             Interpretation.from_text("a=t,a=u")
 
+    @pytest.mark.parametrize("name", ["", "P", "1bad", "a b"])
+    def test_mapping_names_must_be_atoms(self, name):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            Interpretation.from_mapping({name: "t"})
+        with pytest.raises(ValueError, match="invalid atom name"):
+            Interpretation.of(**{name: T})
+
     def test_order_insensitive_equality(self):
         assert Interpretation.of(a=T, b=U) == Interpretation.of(b=U, a=T)
 
