@@ -25,8 +25,8 @@ refutation.  The engine decides ``basis |= f`` over the slice of the basis
 whose atom-connected components share an atom with f: the rest shares no
 atom with that slice or with f, so it changes the answer only when one of
 its components has no all-t model, which one cached sequent per component
-decides.  Certificates still carry proofs and refutations over the whole
-basis.
+decides.  Certificates carry those sliced proofs, which the checkers accept
+by weakening, and refutations over the whole basis.
 Both checkers replay each piece of evidence a certificate carries, so they
 rest on those two calculus checkers and on no other decision procedure.
 Queries, results and certificate parts are immutable named tuples.
@@ -117,15 +117,17 @@ class ExtensionBasis(NamedTuple):
 
 
 @cache
-def _proof(basis: frozenset[Formula], goal: Formula) -> ProofTree | ProofFailure:
-    return prove(entailment_sequent(basis, goal))
+def _proof(basis: frozenset[Formula], goals: frozenset[Formula]) -> ProofTree | ProofFailure:
+    """The calculus on ``basis | basis | goals``, for one goal or none."""
+    return prove(Sequent3(basis, basis, goals))
 
 
 @cache
 def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree:
-    """Certificate of non-entailment, built from the cached failed proof;
-    only called once ``_proof(basis, goal)`` has failed."""
-    return refutation_from_failure(AntiSequent3.of(basis, basis, (goal,)), _proof(basis, goal))
+    """Certificate of non-entailment over the whole basis, from the cached
+    failed proof; only called once ``_entailed(basis, goal)`` has failed."""
+    return refutation_from_failure(AntiSequent3.of(basis, basis, (goal,)),
+                                   _proof(basis, frozenset((goal,))))
 
 
 @cache
@@ -135,18 +137,11 @@ def _atoms(f: Formula) -> frozenset[str]:
 
 
 @cache
-def _unsatisfiable(component: frozenset[Formula]) -> bool:
-    """Whether no model gives every formula of ``component`` the value t:
-    the validity of the sequent ``component | component | (empty)``."""
-    return bool(prove(Sequent3(component, component, frozenset())))
-
-
-@cache
 def _components(basis: frozenset[Formula]
-                ) -> tuple[tuple[frozenset[str], frozenset[Formula]], ...] | None:
+                ) -> tuple[tuple[frozenset[str], frozenset[Formula]], ...] | ProofTree:
     """The atom-connected components of ``basis``, each with its atoms, or
-    None when one of them has no all-t model, so that ``basis`` entails
-    every formula."""
+    the proof of ``C | C | (empty)`` for the first component ``C`` (by least
+    atom name) with no all-t model, so that ``basis`` entails every formula."""
     groups: list[tuple[frozenset[str], frozenset[Formula]]] = []
     for g in basis:
         names, members, rest = _atoms(g), {g}, []
@@ -158,32 +153,34 @@ def _components(basis: frozenset[Formula]
                 members |= group[1]
         rest.append((names, frozenset(members)))
         groups = rest
-    if any(_unsatisfiable(component) for _, component in groups):
-        return None
+    for _, component in sorted(groups, key=lambda group: min(group[0])):
+        proof = _proof(component, frozenset())
+        if proof:
+            return proof
     return tuple(groups)
 
 
 @cache
-def _entailed(basis: frozenset[Formula], f: Formula) -> bool:
-    """Entailment by the sequent calculus: the engine's route, decided over
-    the slice of ``basis`` that shares atoms with ``f``.  Split the basis
-    into ``R``, the atom-connected components that share an atom with
-    ``f``, and the rest ``S``.  A countermodel of ``R |= f`` and an all-t
-    model of ``S`` have disjoint atoms and so combine, hence ``R + S |= f``
-    exactly when ``R |= f`` or some component of ``S`` has no all-t model;
-    a component of ``R`` without one makes ``R |= f`` as well.
-    Certificates still carry proofs over the whole basis (``_proof``)."""
+def _entailed(basis: frozenset[Formula], f: Formula) -> ProofTree | ProofFailure:
+    """Entailment by the sequent calculus, with the proof a certificate
+    carries, decided over the slice of ``basis`` sharing atoms with ``f``.
+    Split the basis into ``R``, the atom-connected components that share an
+    atom with ``f``, and the rest ``S``.  A countermodel of ``R |= f`` and
+    an all-t model of ``S`` have disjoint atoms and so combine, hence
+    ``R + S |= f`` exactly when ``R |= f`` or some component of ``S`` has no
+    all-t model; a component of ``R`` without one makes ``R |= f`` as well.
+    Each proof's root weakens to ``entailment_sequent(basis, f)``."""
     components = _components(basis)
-    if components is None:
-        return True
+    if isinstance(components, ProofTree):
+        return components
     goal = _atoms(f)
-    return bool(_proof(frozenset().union(*(c for names, c in components
-                                           if not names.isdisjoint(goal))), f))
+    return _proof(frozenset().union(*(c for names, c in components
+                                      if not names.isdisjoint(goal))), frozenset((f,)))
 
 
 def member(e: ExtensionBasis, f: Formula) -> bool:
     """Is ``f`` in the closure of ``e``?"""
-    return _entailed(e.basis, f)
+    return bool(_entailed(e.basis, f))
 
 
 def closure_equivalent(b1: frozenset[Formula], b2: frozenset[Formula]) -> bool:
@@ -469,24 +466,24 @@ def _brave_certificate(query: BraveSequent, e: ExtensionBasis) -> BraveProof:
     sigma, theta = set(query.sigma), set(query.theta)
     basis = frozenset(query.gamma)
     for d in e.fired:
-        steps.append(Disposition(d, FIRED, groundedness=_proof(basis, d.prereq)))
+        steps.append(Disposition(d, FIRED, groundedness=_entailed(basis, d.prereq)))
         basis |= {Poss(d.consequent)}
         theta.update(_blocking_formulas(d))
     for d in query.delta:
         if d in e.fired:
             continue
-        if not _proof(basis, d.prereq):
+        if not _entailed(basis, d.prereq):
             steps.append(Disposition(d, BLOCKED_PREREQ))
             theta.add(d.prereq)
             continue
         # an unfired default with an entailed prerequisite is blocked by the extension
         blocking = _blocking_formulas(d)
-        k = next(k for k, f in enumerate(blocking) if _proof(basis, f))
+        k = next(k for k, f in enumerate(blocking) if _entailed(basis, f))
         sigma.add(blocking[k])
         steps.append(Disposition(d, BLOCKED_CERT) if k == len(d.justifications)
                      else Disposition(d, BLOCKED_JUST, justification_index=k + 1))
     return BraveProof(query, tuple(steps), basis,
-                      tuple((f, _proof(basis, f)) for f in sorted(sigma, key=sort_key)),
+                      tuple((f, _entailed(basis, f)) for f in sorted(sigma, key=sort_key)),
                       tuple((f, _refutation(basis, f)) for f in sorted(theta, key=sort_key)))
 
 
@@ -530,7 +527,7 @@ def _evidence(basis: frozenset[Formula], f: Formula
               ) -> tuple[ProofTree | None, RefutationTree | None]:
     """The calculus's evidence on whether ``basis`` entails ``f``: the proof,
     or else the refutation chain of the failed proof; the other is None."""
-    proof = _proof(basis, f)
+    proof = _entailed(basis, f)
     return (proof, None) if proof else (None, _refutation(basis, f))
 
 
@@ -580,7 +577,7 @@ def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailu
                         None)
             if goal is None:
                 return SkepticalFailure(query, e)
-            goal_proof = _proof(e.basis, goal)
+            goal_proof = _entailed(e.basis, goal)
         verdicts.append(ExtensionVerdict(e, evidence, satisfied, goal, goal_proof))
     return SkepticalProof(query, _transcript(len(query.delta), kept), tuple(verdicts))
 
@@ -595,11 +592,12 @@ DefaultProof = BraveProof | SkepticalProof
 def _replayed(basis: frozenset[Formula], f: Formula, proof: ProofTree | None,
               refutation: RefutationTree | None) -> bool | None:
     """Whether ``basis`` entails ``f``, decided by replaying the one piece of
-    evidence given: a proof of the entailment sequent or a refutation of its
-    anti-sequent.  None when neither or both are given, or when the one given
-    fails its checker.  Both checks are sound, so no other route is needed."""
+    evidence given: a proof of a sub-sequent of the entailment sequent, which
+    weakening proves, or a refutation of its anti-sequent.  None when neither
+    or both are given, or the one given fails its checker; both are sound."""
     if refutation is None and proof is not None:
-        return True if check_proof(proof, entailment_sequent(basis, f)) else None
+        weakens = all(map(frozenset.issubset, proof.conclusion, entailment_sequent(basis, f)))
+        return True if weakens and check_proof(proof) else None
     if proof is None and refutation is not None:
         return False if check_refutation(refutation, AntiSequent3.of(basis, basis, (f,))) else None
     return None
@@ -611,8 +609,9 @@ def check_brave_proof(proof: BraveProof) -> bool:
     No search is rerun: groundedness proofs are checked against the replayed
     basis at their step, and the final proof/refutation obligations must
     list exactly the accumulated Sigma and Theta, each formula once and in
-    canonical order, as brave_prove writes them.  A query that repeats a
-    default is rejected, as brave_prove refuses it.
+    canonical order, as brave_prove writes them.  A proof may range over a
+    subset of its basis, by weakening; a refutation ranges over all of it.
+    A query that repeats a default is rejected, as brave_prove refuses it.
     """
     q = proof.query
     try:
@@ -679,12 +678,12 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
     rank order, each with its basis and its fired defaults in firing order,
     and the transcript must be the one skeptical_decide writes for the
     ranks it yields: every rank of the 2^n subsets with its indices, kept
-    exactly for those ranks.  Constraint and goal entailments are decided by replaying
-    the evidence (each proof or refutation must check against the
-    extension's basis), and each satisfying extension must carry a goal
-    proof.  The certificate is rejected when the calculus gives evidence
-    that fails its checker.  Raises SearchLimitError, as the engine does,
-    when the 2^n transcript records exceed DEFAULT_MAX_STATES.
+    exactly for those ranks.  Constraint and goal entailments are decided
+    by replaying the evidence (a proof may cover a subset of the basis, by
+    weakening), and each satisfying extension must carry a proof of its
+    first entailed goal in canonical order.  Evidence from the calculus that
+    fails its checker rejects the certificate.  Raises SearchLimitError, as
+    the engine does, when the 2^n transcript records exceed DEFAULT_MAX_STATES.
     """
     q = proof.query
     try:
@@ -693,6 +692,7 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
             return False
         _check_transcript_size(len(q.delta))
         constraints = tuple(sorted(q.sigma, key=_constraint_key))
+        goals = sorted(q.theta, key=sort_key)
         kept = set()
         verdicts = iter(proof.verdicts)
         for rank, e in _Search(theory, _certified):
@@ -708,12 +708,12 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
             if verdict.satisfies_constraints != all(ev.satisfied for ev in verdict.evidence):
                 return False
             if verdict.satisfies_constraints:
-                if (verdict.goal not in q.theta
+                if (any(_certified(e.basis, g) for g in goals[:goals.index(verdict.goal)])
                         or not _replayed(e.basis, verdict.goal, verdict.goal_proof, None)):
                     return False
             elif verdict.goal is not None or verdict.goal_proof is not None:
                 return False
-    except ValueError:  # a repeated default, or evidence that fails its checker
+    except ValueError:  # a repeated default, a goal outside Theta, or evidence failing its checker
         return False
     return (next(verdicts, None) is None
             and tuple(proof.transcript) == _transcript(len(q.delta), kept))

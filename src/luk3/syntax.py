@@ -263,7 +263,7 @@ _CONNECTIVE = {Not: "~", Impl: "->", And: "&", Or: "|", Cert: "L", Poss: "M"}
 _PREFIX = {token: cls for cls, token in _CONNECTIVE.items() if issubclass(cls, _Unary)}
 
 #: Argument count of each connective token.
-ARITY = {"~": 1, "->": 2, "&": 2, "|": 2, "L": 1, "M": 1}
+ARITY = {token: 1 if issubclass(cls, _Unary) else 2 for cls, token in _CONNECTIVE.items()}
 
 
 def connective(f: Formula) -> str | None:

@@ -57,7 +57,7 @@ from luk3.syntax import (
     parse_formula,
     parse_theory,
 )
-from luk3.sequent import entailment_sequent, prove
+from luk3.sequent import Sequent3, check_proof, entailment_sequent, prove
 
 A, B, C, Z = Atom("a"), Atom("b"), Atom("c"), Atom("z")
 MB = Poss(B)
@@ -490,6 +490,77 @@ def forked_pairs(n: int) -> DefaultTheory:
                                         for i in range(n)))
 
 
+def _read_back(proof):
+    """The certificate after a round trip through its JSON document."""
+    if isinstance(proof, BraveProof):
+        return brave_proof_from_doc(json.loads(json.dumps(brave_proof_to_doc(proof))))
+    return skeptical_proof_from_doc(json.loads(json.dumps(skeptical_proof_to_doc(proof))))
+
+
+class TestSlicedEvidence:
+    """Certificates carry the proof that decided each entailment, over the
+    slice of the basis that shares its atoms; the checkers accept a proof
+    whose root weakens to the entailment sequent, and nothing else."""
+
+    def _forked_brave(self) -> BraveProof:
+        forked = forked_pairs(3)
+        proof = brave_prove(BraveSequent(forked.facts, forked.defaults,
+                                         frozenset({Poss(Atom("z0"))}), frozenset()))
+        assert proof
+        return proof
+
+    def test_forked_pair_proofs_name_one_pair(self):
+        proof = self._forked_brave()
+        for cert in (proof, _read_back(proof)):
+            trees = ([s.groundedness for s in cert.steps if s.groundedness is not None]
+                     + [t for _, t in cert.sigma_proofs])
+            assert len(trees) > 3
+            for tree in trees:
+                assert len({n for n in tree.conclusion.atoms() if n.startswith("z")}) <= 1
+            assert check_brave_proof(cert)
+
+    def test_swapped_sigma_proofs_rejected(self):
+        proof = self._forked_brave()
+        (f0, t0), (f1, t1) = proof.sigma_proofs[:2]
+        swapped = proof._replace(sigma_proofs=((f0, t1), (f1, t0)) + proof.sigma_proofs[2:])
+        for cert in (swapped, _read_back(swapped)):
+            assert not check_brave_proof(cert)
+
+    def test_root_outside_the_basis_rejected(self):
+        proof = self._forked_brave()
+        f, t = proof.sigma_proofs[0]
+        # a genuine proof of a sequent that holds a formula the basis lacks
+        alien = prove(Sequent3(t.conclusion.gamma1 | {Atom("y")}, t.conclusion.gamma2,
+                               t.conclusion.gamma3))
+        assert check_proof(alien)
+        mutant = proof._replace(sigma_proofs=((f, alien),) + proof.sigma_proofs[1:])
+        for cert in (mutant, _read_back(mutant)):
+            assert not check_brave_proof(cert)
+
+    def test_unsatisfiable_component_proof_is_canonical(self):
+        # two components without an all-t model: the proof is that of the
+        # one with the least atom name, whatever the hash seed
+        r = Atom("r")
+        contradiction = frozenset({A, Not(A)})
+        proof = luk3.defaults._entailed(contradiction | {r, Not(r)}, Atom("q"))
+        assert proof.conclusion == Sequent3(contradiction, contradiction, frozenset())
+
+    def test_skeptical_goal_is_the_first_entailed(self):
+        t = theory("fact: a.\ndefault: a : b / b.")
+        proof = skeptical_decide(SkepticalSequent(frozenset(), t.facts, t.defaults,
+                                                  frozenset({A, MB})))
+        (verdict,) = proof.verdicts
+        assert verdict.goal == A
+        # M b is entailed too, but a comes first in canonical order
+        later = verdict._replace(goal=MB, goal_proof=prove(entailment_sequent(
+            verdict.extension.basis, MB)))
+        mutant = proof._replace(verdicts=(later,))
+        for cert in (proof, _read_back(proof)):
+            assert check_skeptical_proof(cert)
+        for cert in (mutant, _read_back(mutant)):
+            assert not check_skeptical_proof(cert)
+
+
 def test_search_meets_the_wide_theory_targets(monkeypatch, cold_caches):
     """16 independent defaults give their one extension in at most 17 leaf
     groundings, not 2^16; 8 and 10 forked pairs keep all 2^8 and 2^10
@@ -549,8 +620,14 @@ def sliced_entailments(draw):
 @example((frozenset({parse_formula("p | q"), parse_formula("L s & ~s")}), parse_formula("~p")))
 def test_sliced_entailment_agrees_with_truth_tables(drawn):
     basis, f = drawn
-    assert (luk3.defaults._entailed(basis, f) == oracles.entailed(basis, f)
+    decided = luk3.defaults._entailed(basis, f)
+    assert (bool(decided) == oracles.entailed(basis, f)
             == bool(prove(entailment_sequent(basis, f))))
+    # a proof over the slice checks, and its root is, component by
+    # component, a subset of the entailment sequent, which weakening proves
+    if decided:
+        assert check_proof(decided)
+        assert all(map(frozenset.issubset, decided.conclusion, entailment_sequent(basis, f)))
 
 
 @st.composite
@@ -684,7 +761,7 @@ def cold_caches():
     sliced decisions and the skeptical checker's memo among them), empty
     when the test starts and emptied again when it ends."""
     named = {name: c for name, c in vars(luk3.defaults).items() if hasattr(c, "cache_clear")}
-    assert {"_proof", "_refutation", "_entailed", "_components", "_unsatisfiable", "_atoms",
+    assert {"_proof", "_refutation", "_entailed", "_components", "_atoms",
             "_certified"} <= named.keys()
     caches = named.values()
     for c in caches:
@@ -707,23 +784,26 @@ def test_skeptical_checker_trusts_the_calculus_only_through_its_checkers(family,
     # (of another sequent) for each that holds, and a proof of another
     # sequent for each that does not
     real = luk3.defaults._proof
+    caches = [c for c in vars(luk3.defaults).values() if hasattr(c, "cache_clear")]
     lies = {True: prove(entailment_sequent(frozenset(), Z)),
             False: prove(entailment_sequent(frozenset({Z}), Z))}
     for holds, lie in lies.items():
-        luk3.defaults._refutation.cache_clear()
-        luk3.defaults._certified.cache_clear()
         told = []
 
-        def lying(basis, goal):
-            answer = real(basis, goal)
+        def lying(basis, goals):
+            answer = real(basis, goals)
             if bool(answer) == holds:
-                told.append(goal)
+                told.append(goals)
                 return lie
             return answer
 
         monkeypatch.setattr(luk3.defaults, "_proof", lying)
         rejected = 0
         for proof in proofs:
+            # the engine's decisions cache the calculus's answers, the lies
+            # among them, so each check starts from empty caches
+            for c in caches:
+                c.cache_clear()
             told.clear()
             accepted = check_skeptical_proof(proof)
             # one lie to the checker's search rejects a genuine certificate:
