@@ -45,9 +45,9 @@ from .sequent import (
     _node_fields,
     _parse_triple,
     _premises,
+    _print_triple,
     _read_components,
     failure_countermodel,
-    print_sequent,
     prove,
 )
 from .syntax import ARITY, Atom, Formula, children, connective
@@ -265,7 +265,7 @@ def _rule_matches(parent: RefutationTree, child: RefutationTree) -> bool:
 
 
 def print_antisequent(a: AntiSequent3) -> str:
-    return "!" + print_sequent(a)
+    return _print_triple(a, "![", {})
 
 
 def parse_antisequent(text: str) -> AntiSequent3:
@@ -274,14 +274,18 @@ def parse_antisequent(text: str) -> AntiSequent3:
 
 
 def refutation_to_doc(tree: RefutationTree) -> dict:
-    """The chain's document, built from the leaf up without recursion."""
+    """The chain's document, built from the leaf up without recursion.
+    Each distinct component is sorted and printed once per document: a
+    step changes one or two components of its conclusion and keeps the
+    rest."""
     chain = []
     while tree is not None:
         chain.append(tree)
         tree = tree.premise
+    fields: dict[frozenset[Formula], str] = {}
     doc = None
     for node in reversed(chain):
-        doc = {"rule": node.rule, "sequent": print_antisequent(node.conclusion),
+        doc = {"rule": node.rule, "sequent": _print_triple(node.conclusion, "![", fields),
                "premises": [] if doc is None else [doc]}
         if node.witness is not None:
             doc["witness"] = {name: v.symbol for name, v in node.witness.assignment}
@@ -289,12 +293,14 @@ def refutation_to_doc(tree: RefutationTree) -> dict:
 
 
 def refutation_from_doc(doc) -> RefutationTree:
-    """Read a refutation document back.  Within one document each formula
-    entry is looked up by its text and tokenized only when first seen; a
-    text that does not split into entries is parsed in full.  Raises
-    ParseError for a bad anti-sequent text, exactly as ``parse_antisequent``
-    does on it, and ValueError for a malformed node."""
+    """Read a refutation document back.  Within one document each distinct
+    component text is split once, and each formula entry is looked up by
+    its text and tokenized only when first seen; a text that does not split
+    into entries is parsed in full.  Raises ParseError for a bad
+    anti-sequent text, exactly as ``parse_antisequent`` does on it, and
+    ValueError for a malformed node."""
     formulas: dict[str, Formula] = {}
+    fields: dict[str, frozenset[Formula]] = {}
     nodes = []
     premises = [doc]
     while premises:
@@ -308,8 +314,8 @@ def refutation_from_doc(doc) -> RefutationTree:
                     or not all(isinstance(v, str) for v in doc["witness"].values())):
                 raise ValueError("malformed refutation document")
             witness = Interpretation.from_mapping(doc["witness"])
-        comps = _read_components(text, "![", formulas)
-        nodes.append((parse_antisequent(text) if comps is None else AntiSequent3.of(*comps),
+        comps = _read_components(text, "![", formulas, fields)
+        nodes.append((parse_antisequent(text) if comps is None else AntiSequent3(*comps),
                       rule, witness))
     tree = None
     for conclusion, rule, witness in reversed(nodes):

@@ -416,9 +416,25 @@ def _checked(node: ProofTree) -> bool:
 
 
 def print_sequent(s: Sequent3) -> str:
-    fields = [", ".join(print_formula(f) for f in sorted(comp, key=sort_key))
-              for comp in s.components]
-    return "[" + " ; ".join(fields) + "]"
+    return _print_triple(s, "[", {})
+
+
+def _print_triple(triple: ComponentTriple, head: str,
+                  fields: dict[frozenset[Formula], str]) -> str:
+    """``head F ; F ; F]`` for ``triple``; each component is formatted once
+    per table ``fields``, which a writer keeps for one document."""
+    texts = []
+    for comp in triple:
+        text = fields.get(comp)
+        if text is None:
+            text = fields[comp] = _format_component(comp)
+        texts.append(text)
+    return head + " ; ".join(texts) + "]"
+
+
+def _format_component(comp: frozenset[Formula]) -> str:
+    """The formulas of one component in canonical order, ``, ``-separated."""
+    return ", ".join(print_formula(f) for f in sorted(comp, key=sort_key))
 
 
 def parse_component_fields(p: TokenParser) -> list[tuple[Formula, ...]]:
@@ -454,37 +470,45 @@ def _parse_triple(text: str, head: str, cls: type[ComponentTriple]) -> Component
 _BLANKS = " \t\r\n"
 
 
-def _read_components(text: str, head: str, formulas: dict[str, Formula]
-                     ) -> list[list[Formula]] | None:
-    """The components of ``head F ; F ; F]`` read entry by entry, or None
+def _read_components(text: str, head: str, formulas: dict[str, Formula],
+                     fields: dict[str, frozenset[Formula]]
+                     ) -> list[frozenset[Formula]] | None:
+    """The components of ``head F ; F ; F]`` read field by field, or None
     when ``text`` needs the full parser.
 
     ``,`` and ``;`` are one-character tokens that no atom contains, and
     without ``%`` there is no comment, so splitting the raw text at them
-    splits its token stream the same way.  Each entry, stripped of blanks,
-    is looked up in ``formulas``; a miss is tokenized and parsed alone and
-    stored when it is exactly one formula.  An empty entry, an entry that
-    is not one formula (a stray bracket makes one), or a text of another
-    shape gives None, so the full parser decides it and raises its errors.
+    splits its token stream the same way.  Each field, stripped of blanks,
+    is looked up in ``fields``, so a premise that keeps a component of its
+    parent reuses the parent's frozenset.  A missing field is split into
+    entries, each looked up in ``formulas``; a missing entry is tokenized
+    and parsed alone and stored when it is exactly one formula.  An empty
+    entry, an entry that is not one formula (a stray bracket makes one),
+    or a text of another shape gives None, so the full parser decides it
+    and raises its errors.
     """
     if not (text.startswith(head) and text.endswith("]")) or "%" in text:
         return None
-    fields = text[len(head):-1].split(";")
-    if len(fields) != 3:
+    raw = text[len(head):-1].split(";")
+    if len(raw) != 3:
         return None
     comps = []
-    for field in fields:
-        comp = []
-        if field.strip(_BLANKS):
-            for entry in field.split(","):
-                entry = entry.strip(_BLANKS)
-                f = formulas.get(entry)
-                if f is None:
-                    f = _entry_formula(entry)
+    for field in raw:
+        field = field.strip(_BLANKS)
+        comp = fields.get(field)
+        if comp is None:
+            entries = []
+            if field:
+                for entry in field.split(","):
+                    entry = entry.strip(_BLANKS)
+                    f = formulas.get(entry)
                     if f is None:
-                        return None
-                    formulas[entry] = f
-                comp.append(f)
+                        f = _entry_formula(entry)
+                        if f is None:
+                            return None
+                        formulas[entry] = f
+                    entries.append(f)
+            comp = fields[field] = frozenset(entries)
         comps.append(comp)
     return comps
 
@@ -510,46 +534,60 @@ def _node_fields(doc, kind: str) -> tuple[str, str, list]:
 
 
 def proof_to_doc(tree: ProofTree) -> dict:
-    """A shared subtree is written out per occurrence, each time as dicts of
-    its own, but each distinct node's sequent is printed once."""
-    return _write_proof(tree, {})
+    """The tree's document.  A shared subtree is written out per occurrence,
+    each time as dicts of its own, so that editing one occurrence leaves the
+    others; each distinct component is sorted and printed once per
+    document, and each distinct node's sequent text is built once."""
+    return _write_proof(tree, {}, {})
 
 
-def _write_proof(node: ProofTree, texts: dict[int, str]) -> dict:
+def _write_proof(node: ProofTree, texts: dict[int, str],
+                 fields: dict[frozenset[Formula], str]) -> dict:
     text = texts.get(id(node))
     if text is None:
-        text = texts[id(node)] = print_sequent(node.conclusion)
+        text = texts[id(node)] = _print_triple(node.conclusion, "[", fields)
     return {"rule": node.rule, "sequent": text,
-            "premises": [_write_proof(p, texts) for p in node.premises]}
+            "premises": [_write_proof(p, texts, fields) for p in node.premises]}
 
 
 def proof_from_doc(doc) -> ProofTree:
-    """Read a proof document back as a DAG.
+    """Read a proof document back as a DAG, in the size of the DAG.
 
     ``proof_to_doc`` writes every shared subtree out once per occurrence;
-    reading rebuilds the sharing.  Within one document each distinct
-    sequent text is read once, and each formula entry is looked up by its
-    text and tokenized only when first seen; a text that does not split
-    into entries is parsed in full.  Nodes with the same rule, sequent text
-    and (already shared) premises are one ProofTree object, so
-    ``check_proof`` verifies each distinct subtree once.  Raises ParseError
-    for a bad sequent text, exactly as ``parse_sequent`` does on it, and
-    ValueError for a malformed node.
+    reading rebuilds the sharing.  The first node read with each sequent
+    text is kept with its document, and a later node with the same text
+    whose document is equal to it (one comparison of JSON values, made in
+    C) is that node, without a walk of its subtree.  A node whose document
+    differs is read in full, and nodes with the same rule, sequent text and
+    (already shared) premises are one ProofTree object, so the unedited
+    copies of a subtree stay shared in a document edited in one copy, and
+    ``check_proof`` verifies each distinct subtree once.  Each distinct
+    component text is split once, and each formula entry is looked up by
+    its text and tokenized only when first seen; a text that does not split
+    into entries is parsed in full.  Raises ParseError for a bad sequent
+    text, exactly as ``parse_sequent`` does on it, and ValueError for a
+    malformed node.
     """
-    return _read_proof(doc, {}, {}, {})
+    return _read_proof(doc, {}, {}, {}, {})
 
 
-def _read_proof(doc, formulas: dict[str, Formula], sequents: dict[str, Sequent3],
+def _read_proof(doc, formulas: dict[str, Formula], fields: dict[str, frozenset[Formula]],
+                read: dict[str, tuple[dict, ProofTree]],
                 nodes: dict[tuple[str, str, tuple[int, ...]], ProofTree]) -> ProofTree:
     rule, text, premises = _node_fields(doc, "proof")
-    s = sequents.get(text)
-    if s is None:
-        comps = _read_components(text, "[", formulas)
-        s = parse_sequent(text) if comps is None else Sequent3.of(*comps)
-        sequents[text] = s
-    subproofs = tuple(_read_proof(p, formulas, sequents, nodes) for p in premises)
+    first = read.get(text)
+    if first is None:
+        comps = _read_components(text, "[", formulas, fields)
+        s = parse_sequent(text) if comps is None else Sequent3(*comps)
+    elif first[0] == doc:
+        return first[1]
+    else:
+        s = first[1].conclusion
+    subproofs = tuple(_read_proof(p, formulas, fields, read, nodes) for p in premises)
     key = (rule, text, tuple(map(id, subproofs)))
     node = nodes.get(key)
     if node is None:
         node = nodes[key] = ProofTree(s, rule, subproofs)
+    if first is None:
+        read[text] = (doc, node)
     return node

@@ -105,16 +105,15 @@ class TestProveRefute:
         import luk3.sequent
 
         printed = []
-        real = luk3.sequent.print_sequent
+        real = luk3.sequent._format_component
 
-        def counting(s):
-            printed.append(s)
-            return real(s)
+        def counting(comp):
+            printed.append(comp)
+            return real(comp)
 
-        # every print_sequent of the invocation: the certificate writer's and
-        # any the CLI would make itself
-        monkeypatch.setattr(luk3.sequent, "print_sequent", counting)
-        monkeypatch.setattr(luk3.cli, "print_sequent", counting, raising=False)
+        # every component formatted in the invocation: print_sequent and the
+        # certificate writer both format through this one function
+        monkeypatch.setattr(luk3.sequent, "_format_component", counting)
         code, out, _ = run(capsys, "prove", "[ ; ; p -> p | p]")
         assert code == 0
         assert out == (
@@ -128,7 +127,7 @@ class TestProveRefute:
             "      axiom: [p ; p ; p]\n"
             "    |:3: [p ; p ; p | p]\n"
             "      axiom: [p ; p ; p]\n")
-        # ten lines, but the proof has four distinct nodes
+        # ten lines, but the proof's nodes have four distinct components
         assert len(printed) == len(set(printed)) == 4
         printed.clear()
         code, _, _ = run(capsys, "prove", "--json", "[ ; ; p -> p | p]")

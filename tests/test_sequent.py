@@ -13,7 +13,7 @@ import luk3.sequent
 import luk3.syntax
 from conftest import context_variants, sampled_principals
 from mutation import proof_mutants
-from luk3.antisequent import AntiSequent3
+from luk3.antisequent import AntiSequent3, print_antisequent, refutation_to_doc, refute
 from luk3.semantics import VALUES, enumerate_interpretations, tt_sequent_true, tt_sequent_valid
 from luk3.sequent import (
     ProofFailure,
@@ -462,27 +462,33 @@ class TestDocSharing:
     def test_writer_prints_each_distinct_node_once(self, monkeypatch):
         tree = prove(parse_sequent("[ ; ; p -> p | p]"))
         expected = proof_to_doc(tree)
-        calls = 0
-        real = luk3.sequent.print_sequent
+        formatted = []
+        real = luk3.sequent._format_component
 
-        def counting(s):
-            nonlocal calls
-            calls += 1
-            return real(s)
+        def counting(comp):
+            formatted.append(comp)
+            return real(comp)
 
-        monkeypatch.setattr(luk3.sequent, "print_sequent", counting)
+        monkeypatch.setattr(luk3.sequent, "_format_component", counting)
         doc = proof_to_doc(tree)
         assert doc == expected
-        assert calls == len(_distinct_nodes(tree))
+        # each distinct component is formatted once per document
+        components = {comp for node in _distinct_nodes(tree) for comp in node.conclusion}
+        assert len(formatted) == len(set(formatted)) and set(formatted) == components
         nodes = [node for _, node in _doc_nodes(doc)]
-        assert len(nodes) > calls  # shared subtrees are written out per occurrence
+        assert len(nodes) > len(_distinct_nodes(tree))  # shared subtrees are written out per occurrence
         assert len({id(node) for node in nodes}) == len(nodes)
         copies = [node for node in nodes if node["sequent"] == "[p ; p ; p | p]"]
         copies[0]["rule"] = "axiom"  # editing one occurrence leaves the others
         assert [node["rule"] for node in copies[1:]] == ["|:3"] * (len(copies) - 1)
 
-    @pytest.mark.parametrize("below", [(), (0,)], ids=["node", "its-premise"])
-    def test_mutated_copy_is_not_merged(self, below):
+    @pytest.mark.parametrize(("below", "copy"), [
+        pytest.param((), 1, id="node"),
+        pytest.param((0,), 1, id="its-premise"),
+        pytest.param((), 0, id="first-node"),
+        pytest.param((0,), 0, id="first-its-premise"),
+    ])
+    def test_mutated_copy_is_not_merged(self, below, copy):
         root = parse_sequent("[ ; ; p -> p | p]")
         doc = proof_to_doc(prove(root))
         paths = [path for path, node in _doc_nodes(doc)
@@ -491,16 +497,48 @@ class TestDocSharing:
         genuine = proof_from_doc(doc)
         assert len({id(_follow(genuine, path)) for path in paths}) == 1
 
-        # bump the text of one copy, or of the axiom below it, only
-        target = paths[1] + below
+        # bump the text of one copy, or of the axiom below it, only; a bumped
+        # first copy is the one the reader meets first with that text
+        target = paths[copy] + below
         bumped = _follow(genuine, target).conclusion
         bumped = print_sequent(bumped.with_component(1, bumped.gamma1 | {Atom("zz_mut")}))
         read = proof_from_doc(_replaced(doc, target, bumped))
         assert _follow(read, target).conclusion == parse_sequent(bumped)
-        mutated = _follow(read, paths[1])
-        others = {id(_follow(read, path)) for path in paths if path != paths[1]}
+        mutated = _follow(read, paths[copy])
+        others = {id(_follow(read, path)) for path in paths if path != paths[copy]}
         assert len(others) == 1 and id(mutated) not in others
         assert not check_proof(read, root)
+
+    def test_reader_visits_each_distinct_node_once(self, pool, monkeypatch):
+        proofs = [t for t in (prove(Sequent3.of((), (), (f,))) for f in pool) if t]
+        assert len(proofs) == 232
+        calls = 0
+        real = luk3.sequent._node_fields
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(luk3.sequent, "_node_fields", counting)
+        for tree in proofs:
+            doc = proof_to_doc(tree)
+            # the writers' component table changes no text
+            assert all(node["sequent"] == print_sequent(_follow(tree, path).conclusion)
+                       for path, node in _doc_nodes(doc))
+            doc = json.loads(json.dumps(doc))
+            calls = 0
+            assert proof_from_doc(doc) == tree
+            # an equal later copy of a subtree is taken whole, unvisited
+            assert calls == 1 + sum(len(node.premises) for node in _distinct_nodes(tree))
+        chains = [r for r in (refute(AntiSequent3.of((), (), (f,))) for f in pool) if r]
+        assert len(chains) == len(pool) - len(proofs)
+        for chain in chains:
+            doc = refutation_to_doc(chain)
+            while chain is not None:
+                assert doc["sequent"] == print_antisequent(chain.conclusion)
+                chain, doc = chain.premise, (doc["premises"] or [None])[0]
+            assert doc is None
 
     def test_each_entry_is_tokenized_once(self, pool, monkeypatch):
         proofs = [t for t in (prove(Sequent3.of((), (), (f,))) for f in pool) if t]
