@@ -290,17 +290,21 @@ class ProofFailure(NamedTuple):
 def prove(s: Sequent3) -> ProofTree | ProofFailure:
     """Backward proof search.
 
-    Returns a checkable tree, or the atomic leaf witnessing invalidity; rule
-    invertibility makes the principal choice irrelevant, so there is no
-    backtracking and the same input always yields the same tree.  Equal
+    Returns a checkable tree, or the atomic leaf witnessing invalidity.
+    Rule invertibility makes the principal choice irrelevant to the answer,
+    so there is no backtracking, and the same input always yields the same
+    tree.  The choice does decide the tree's size: a rule with several
+    premises copies the rest of the sequent into each of them, so the
+    search decomposes the formulas of one-premise rules first.  Equal
     sequents within one search share one subtree.  The memo that shares
     them is the call's own and is freed when the call returns: the search
     builds no reference cycle.
 
-    Each node takes one frame: the principal is the canonically least
-    non-atomic formula (at its least position), its rule is read from a
-    table by the principal's class and position, and each premise is built
-    only once the one before it is proved.
+    Each node takes one frame.  The principal is the non-atomic formula
+    whose rule has the fewest premises, then the canonically least one, at
+    its least position; its rule is read from a table by the principal's
+    class and position, and each premise is built only once the one before
+    it is proved.
     """
     return _search(s, {})
 
@@ -317,14 +321,14 @@ def _search(s: Sequent3, memo: dict[Sequent3, ProofTree | ProofFailure]
         for pos, comp in enumerate(s, 1):
             for f in comp:
                 if f._depth:  # an atom has depth 0
-                    key = f._key  # sort_key(f), read off the node
+                    rule = _RULES.get((type(f), pos)) or _rule(f, pos)
+                    key = (len(rule[1]), f._key)  # premise count, then sort_key(f)
                     if principal is None or key < least:
-                        principal, least, position = f, key, pos
+                        principal, least, position, chosen = f, key, pos, rule
         if principal is None:
             result = ProofFailure(s)
         else:
-            rule = _RULES.get((type(principal), position))
-            name, templates = rule if rule is not None else _rule(principal, position)
+            name, templates = chosen
             subproofs = []
             for premise in _premises(s, principal, position, templates):
                 sub = _search(premise, memo)

@@ -120,14 +120,12 @@ class TestProveRefute:
             "->:3: [ ;  ; p -> p | p]\n"
             "  |:3: [p ; p ; p | p]\n"
             "    axiom: [p ; p ; p]\n"
-            "  |:2: [p ; p | p ; p | p]\n"
-            "    |:3: [p ; p ; p | p]\n"
+            "  |:3: [p ; p | p ; p | p]\n"
+            "    |:2: [p ; p | p ; p]\n"
             "      axiom: [p ; p ; p]\n"
-            "    |:3: [p ; p ; p | p]\n"
             "      axiom: [p ; p ; p]\n"
-            "    |:3: [p ; p ; p | p]\n"
             "      axiom: [p ; p ; p]\n")
-        # ten lines, but the proof's nodes have four distinct components
+        # eight lines, but the proof's nodes have four distinct components
         assert len(printed) == len(set(printed)) == 4
         printed.clear()
         code, _, _ = run(capsys, "prove", "--json", "[ ; ; p -> p | p]")

@@ -44,6 +44,7 @@ from luk3.syntax import (
     children,
     connective,
     parse_formula,
+    sort_key,
 )
 
 F, U, T = VALUES
@@ -257,6 +258,36 @@ class TestProveEntailment:
         assert s.gamma3 == frozenset({R})
 
 
+class TestCorpusProofs:
+    def test_failure_countermodels_falsify_their_roots(self, corpus):
+        failures = [(s, r) for s, r in ((s, prove(s)) for s in corpus) if not r]
+        assert len(failures) == 1320
+        for root, failure in failures:
+            assert not tt_sequent_true(root, failure_countermodel(failure, root)), \
+                print_sequent(root)
+
+    def test_principal_has_the_fewest_premises(self, corpus):
+        # at every inner node the rule has the fewest premises among the
+        # rules of the conclusion's non-atomic formulas; the principal is
+        # the canonically least of those formulas, at its least position
+        for tree in filter(None, map(prove, corpus)):
+            stack, seen = [tree], set()
+            while stack:
+                node = stack.pop()
+                if id(node) in seen or not node.premises:
+                    continue
+                seen.add(id(node))
+                stack.extend(node.premises)
+                position = int(node.rule.partition(":")[2])
+                (principal,) = (node.conclusion.component(position)
+                                - node.premises[0].conclusion.component(position))
+                least = min((len(generate_rules(connective(f), k)), sort_key(f), k)
+                            for k, comp in enumerate(node.conclusion, 1)
+                            for f in comp if connective(f))
+                assert least == (len(node.premises), sort_key(principal), position), \
+                    print_sequent(node.conclusion)
+
+
 def test_prove_agrees_with_oracle_on_small_corpus(pool):
     sample = pool[::13]  # ~100 formulas spread across the depth-2 pool
     for f in sample:
@@ -460,7 +491,7 @@ class TestDocSharing:
             assert calls == sum(node.rule != "axiom" for node in nodes)
 
     def test_writer_prints_each_distinct_node_once(self, monkeypatch):
-        tree = prove(parse_sequent("[ ; ; p -> p | p]"))
+        tree = prove(parse_sequent("[ ; ; p | p -> p & p]"))
         expected = proof_to_doc(tree)
         formatted = []
         real = luk3.sequent._format_component
@@ -478,9 +509,10 @@ class TestDocSharing:
         nodes = [node for _, node in _doc_nodes(doc)]
         assert len(nodes) > len(_distinct_nodes(tree))  # shared subtrees are written out per occurrence
         assert len({id(node) for node in nodes}) == len(nodes)
-        copies = [node for node in nodes if node["sequent"] == "[p ; p ; p | p]"]
+        copies = [node for node in nodes if node["sequent"] == "[p ; p | p ; p]"]
+        assert len(copies) == 4
         copies[0]["rule"] = "axiom"  # editing one occurrence leaves the others
-        assert [node["rule"] for node in copies[1:]] == ["|:3"] * (len(copies) - 1)
+        assert [node["rule"] for node in copies[1:]] == ["|:2"] * (len(copies) - 1)
 
     @pytest.mark.parametrize(("below", "copy"), [
         pytest.param((), 1, id="node"),
@@ -489,10 +521,10 @@ class TestDocSharing:
         pytest.param((0,), 0, id="first-its-premise"),
     ])
     def test_mutated_copy_is_not_merged(self, below, copy):
-        root = parse_sequent("[ ; ; p -> p | p]")
+        root = parse_sequent("[ ; ; p | p -> p & p]")
         doc = proof_to_doc(prove(root))
         paths = [path for path, node in _doc_nodes(doc)
-                 if node["rule"] == "|:3" and node["sequent"] == "[p ; p ; p | p]"]
+                 if node["rule"] == "|:2" and node["sequent"] == "[p ; p | p ; p]"]
         assert len(paths) == 4  # one subtree written out four times
         genuine = proof_from_doc(doc)
         assert len({id(_follow(genuine, path)) for path in paths}) == 1
@@ -631,8 +663,8 @@ class TestDocSharing:
     ])
     def test_parse_errors_unchanged_deep_in_a_document(self, bad):
         doc = proof_to_doc(prove(parse_sequent("[ ; ; p & p -> p | p]")))
-        path = (0, 0, 1)
-        assert _follow(proof_from_doc(doc), path).conclusion == parse_sequent("[p ; p ; p | p]")
+        path = (1, 0)
+        assert _follow(proof_from_doc(doc), path).conclusion == parse_sequent("[p ; p | p ; p | p]")
         assert "; p | p]" in doc["premises"][0]["sequent"]  # read earlier
         with pytest.raises(ParseError) as expected:
             parse_sequent(bad)
