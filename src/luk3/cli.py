@@ -43,8 +43,8 @@ from .defaults import (
     skeptical_decide,
     skeptical_proof_to_doc,
 )
-from .semantics import Interpretation, TruthValue, UndeclaredAtomError, evaluate, tt_valid
-from .sequent import check_proof, failure_countermodel, parse_sequent, proof_to_doc, prove
+from .semantics import Interpretation, TruthValue, UndeclaredAtomError, evaluate
+from .sequent import Sequent3, check_proof, failure_countermodel, parse_sequent, proof_to_doc, prove
 from .syntax import DuplicateWarning, ParseError, parse_formula, parse_formula_list, parse_theory
 
 __all__ = ["main"]
@@ -90,10 +90,10 @@ def _view_eval(doc: dict) -> str:
 
 
 def _cmd_valid(args) -> _Answer:
-    verdict = tt_valid(parse_formula(args.formula))
-    if verdict:
+    s = Sequent3.of((), (), (parse_formula(args.formula),))
+    if result := prove(s):
         return True, {"valid": True}, None
-    return False, {"valid": False, "counter": _interp_doc(verdict.counter)}, None
+    return False, {"valid": False, "counter": _interp_doc(failure_countermodel(result, s))}, None
 
 
 def _view_valid(doc: dict) -> str:
@@ -234,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="interpretation like a=t,b=u")
     common(p, _cmd_eval, _view_eval)
 
-    p = sub.add_parser("valid", help="decide validity by truth tables")
+    p = sub.add_parser("valid", help="decide validity by the sequent calculus")
     p.add_argument("formula")
     common(p, _cmd_valid, _view_valid)
 

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import luk3
 
-from luk3.cli import main
+from luk3.cli import _cmd_valid, main
 from luk3.defaults import brave_proof_from_doc, check_brave_proof, skeptical_proof_from_doc, check_skeptical_proof
-from luk3.sequent import parse_sequent
+from luk3.semantics import Interpretation, TruthValue, evaluate, tt_valid
+from luk3.sequent import Sequent3, parse_sequent, print_sequent
+from luk3.syntax import parse_formula, print_formula
 
 
 @pytest.fixture
@@ -92,6 +96,43 @@ class TestValid:
         code, out, _ = run(capsys, "valid", "--json", "p | ~p")
         assert code == 1
         assert json.loads(out) == {"valid": False, "counter": {"p": "u"}}
+
+    def test_counter_is_the_calculus_countermodel(self, capsys):
+        # the truth tables' first counterexample would be p=f,q=u
+        assert run(capsys, "valid", "~(p | q)") == (1, "p=u,q=f\n", "")
+
+    def test_verdicts_and_countermodels_on_the_pool(self, pool):
+        for f in pool:
+            answer, doc, check = _cmd_valid(argparse.Namespace(formula=print_formula(f)))
+            assert answer == doc["valid"] == bool(tt_valid(f)) and check is None
+            if not answer:
+                counter = Interpretation.from_mapping(doc["counter"])
+                assert evaluate(f, counter) is not TruthValue.T, (f, counter)
+
+    def test_counter_equals_prove_counter(self, capsys, pool):
+        for f in pool[::25]:
+            code, out, _ = run(capsys, "valid", "--json", print_formula(f))
+            pcode, pout, _ = run(capsys, "prove", "--json",
+                                 print_sequent(Sequent3.of((), (), (f,))))
+            assert code == pcode
+            assert json.loads(out).get("counter") == json.loads(pout).get("counter")
+
+    def test_wide_formulas_answer_fast(self, capsys):
+        # 3^12 interpretations took truth tables about 15 s
+        t0 = perf_counter()
+        code, out, _ = run(capsys, "valid", " | ".join(f"(x{i} -> x{i})" for i in range(12)))
+        assert perf_counter() - t0 < 1.0
+        assert (code, out) == (0, "valid\n")
+        wide = parse_formula(" | ".join(f"x{i}" for i in range(20)))
+        code, out, _ = run(capsys, "valid", print_formula(wide))
+        assert code == 1
+        assert evaluate(wide, Interpretation.from_text(out.strip())) is not TruthValue.T
+
+    @pytest.mark.parametrize("formula, code", [("~" * 900 + "p", 1), ("M" * 600 + "p", 2)],
+                             ids=["not-900", "possibly-600"])
+    def test_depth_ceiling_is_proves(self, capsys, formula, code):
+        assert run(capsys, "valid", formula)[0] == code
+        assert run(capsys, "prove", f"[ ; ; {formula}]")[0] == code
 
 
 class TestProveRefute:
