@@ -17,8 +17,8 @@ constraint-satisfying extension contain a goal?) check each.
 Both produce certificates made of sequent proofs and anti-sequent
 refutations.  A brave certificate chooses each block reason from the final
 basis, and its checker replays it without any search.  A skeptical one lists
-every rank of the 2^n subsets, marking the kept ones, and its checker reruns
-the search.  The search takes its entailment test as an argument: the engine
+the ranks the search keeps, one record each, and its checker reruns the
+search.  The search takes its entailment test as an argument: the engine
 takes the sequent calculus's answer, and the skeptical checker takes it only
 once check_proof or check_refutation accepts the calculus's proof or
 refutation.  The engine decides ``basis |= f`` over the slice of the basis
@@ -99,8 +99,7 @@ DEFAULT_MAX_STATES = 10 ** 6
 
 class SearchLimitError(RuntimeError):
     """A query exceeds its state budget: its search reaches more than
-    DEFAULT_MAX_STATES states, or its skeptical transcript would list more
-    than DEFAULT_MAX_STATES ranks."""
+    DEFAULT_MAX_STATES states."""
 
 
 class ExtensionBasis(NamedTuple):
@@ -233,7 +232,7 @@ def is_extension(theory: DefaultTheory, candidate: ExtensionBasis) -> bool:
 
 
 class CandidateRecord(NamedTuple):
-    """One line of the enumeration transcript."""
+    """One line of the skeptical transcript: a rank the search keeps."""
 
     rank: int
     fired_indices: tuple[int, ...]
@@ -536,17 +535,11 @@ def _constraint_evidence(e: ExtensionBasis, c: SignedConstraint) -> ConstraintEv
     return ConstraintEvidence(c, (proof is not None) == c.positive, proof, refutation)
 
 
-def _transcript(n: int, kept: set[int]) -> tuple[CandidateRecord, ...]:
-    """One record for every candidate rank of ``n`` defaults, marking the
-    ``kept`` ranks."""
-    return tuple(CandidateRecord(r, tuple(i for i in range(n) if r >> i & 1), r in kept)
-                 for r in range(1 << n))
-
-
-def _check_transcript_size(n: int) -> None:
-    """SearchLimitError when a transcript of the 2^n ranks exceeds the budget."""
-    if 1 << n > DEFAULT_MAX_STATES:
-        raise SearchLimitError(f"transcript of 2^{n} candidates exceeds {DEFAULT_MAX_STATES} states")
+def _transcript(n: int, kept: list[int]) -> tuple[CandidateRecord, ...]:
+    """One kept record for each of the ``kept`` ranks of ``n`` defaults, in
+    the order given."""
+    return tuple(CandidateRecord(r, tuple(i for i in range(n) if r >> i & 1), True)
+                 for r in kept)
 
 
 def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailure:
@@ -554,20 +547,19 @@ def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailu
 
     The extensions come from the branch-and-bound search, in rank order.
     Succeeds when each such extension entails some Theta formula; the
-    certificate carries the full candidate transcript (one record per rank
-    of the 2^n subsets, kept exactly for the ranks the search yields),
-    per-extension constraint evidence, and one goal proof per satisfying
-    extension.  Fails with the first counterexample extension otherwise (in
-    particular, an empty Theta fails as soon as any extension satisfies the
-    constraints).  Raises SearchLimitError, before searching, when the 2^n
-    transcript records exceed DEFAULT_MAX_STATES.
+    certificate carries the transcript (one kept record per rank the search
+    yields, in rank order, with the rank's default indices), per-extension
+    constraint evidence, and one goal proof per satisfying extension.  Fails
+    with the first counterexample extension otherwise (in particular, an
+    empty Theta fails as soon as any extension satisfies the constraints).
+    Raises SearchLimitError when the search reaches more than
+    DEFAULT_MAX_STATES states.
     """
     theory = DefaultTheory(query.gamma, query.delta)
-    _check_transcript_size(len(query.delta))
-    kept = set()
+    kept = []
     verdicts = []
     for rank, e in _Search(theory):
-        kept.add(rank)
+        kept.append(rank)
         evidence = tuple(_constraint_evidence(e, c)
                          for c in sorted(query.sigma, key=_constraint_key))
         satisfied = all(ev.satisfied for ev in evidence)
@@ -677,26 +669,24 @@ def check_skeptical_proof(proof: SkepticalProof) -> bool:
     check_refutation accepts it.  The verdicts must be its extensions in
     rank order, each with its basis and its fired defaults in firing order,
     and the transcript must be the one skeptical_decide writes for the
-    ranks it yields: every rank of the 2^n subsets with its indices, kept
-    exactly for those ranks.  Constraint and goal entailments are decided
-    by replaying the evidence (a proof may cover a subset of the basis, by
-    weakening), and each satisfying extension must carry a proof of its
-    first entailed goal in canonical order.  Evidence from the calculus that
-    fails its checker rejects the certificate.  Raises SearchLimitError, as
-    the engine does, when the 2^n transcript records exceed DEFAULT_MAX_STATES.
+    ranks it yields: one kept record per rank, with its indices, in rank
+    order, so a record marked unkept, added, dropped or moved is rejected.
+    Constraint and goal entailments are decided by replaying the evidence
+    (a proof may cover a subset of the basis, by weakening), and each
+    satisfying extension must carry a proof of its first entailed goal in
+    canonical order.  Evidence from the calculus that fails its checker
+    rejects the certificate.  Raises SearchLimitError, as the engine does,
+    when the search reaches more than DEFAULT_MAX_STATES states.
     """
     q = proof.query
     try:
         theory = DefaultTheory(q.gamma, q.delta)
-        if len(proof.transcript) != 1 << len(q.delta):
-            return False
-        _check_transcript_size(len(q.delta))
         constraints = tuple(sorted(q.sigma, key=_constraint_key))
         goals = sorted(q.theta, key=sort_key)
-        kept = set()
+        kept = []
         verdicts = iter(proof.verdicts)
         for rank, e in _Search(theory, _certified):
-            kept.add(rank)
+            kept.append(rank)
             verdict = next(verdicts, None)
             if (verdict is None or verdict.extension != e
                     or tuple(ev.constraint for ev in verdict.evidence) != constraints):

@@ -45,7 +45,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 #: Criterion 7's audit: genuine certificates, and single-node mutants, all rejected.
 AUDITED_CERTIFICATES = 1930
-AUDITED_MUTANTS = 20491
+AUDITED_MUTANTS = 20041
 
 #: The corpus's certificates and countermodels, pinned: SHA-256 over the
 #: canonical JSON of every proof and refutation document and the text of

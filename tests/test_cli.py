@@ -36,7 +36,8 @@ def fork_theory(tmp_path):
 
 @pytest.fixture
 def wide_theory(tmp_path):
-    """20 defaults: a skeptical transcript of 2^20 ranks, past the budget."""
+    """20 independent defaults: one extension, which the search finds in 21
+    states of the 2^20 ranks."""
     path = tmp_path / "wide.dl3"
     path.write_text("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(20)),
                     encoding="utf-8")
@@ -316,6 +317,18 @@ class TestSkeptical:
         assert [v["fired"] for v in doc["extensions"]] == [[1, 0]]
         assert check_skeptical_proof(skeptical_proof_from_doc(doc))
 
+    def test_wide_theory_answers_with_a_small_certificate(self, capsys, wide_theory, tmp_path):
+        # the certificate lists the one kept rank, not all 2^20
+        cert = tmp_path / "cert.json"
+        t0 = perf_counter()
+        code, out, err = run(capsys, "skeptical", wide_theory, "--goals", "a",
+                             "--proof", str(cert))
+        assert perf_counter() - t0 < 1.0
+        assert (code, err) == (0, "") and out.splitlines()[0] == "derivable"
+        doc = json.loads(cert.read_text())
+        assert doc["transcript"] == [{"rank": (1 << 20) - 1, "fired": list(range(20)), "kept": True}]
+        assert check_skeptical_proof(skeptical_proof_from_doc(doc))
+
     def test_underivable_prints_counterexample(self, capsys, fork_theory):
         code, out, _ = run(capsys, "skeptical", fork_theory, "--goals", "b")
         assert code == 1
@@ -383,8 +396,8 @@ class TestResourceLimits:
         assert code == 2 and out == ""
         assert "resource limit" in err
 
-    def test_skeptical_over_sweep_budget(self, capsys, wide_theory):
-        code, out, err = run(capsys, "skeptical", wide_theory, "--goals", "a")
+    def test_skeptical_over_sweep_budget(self, capsys, forked_theory):
+        code, out, err = run(capsys, "skeptical", forked_theory, "--goals", "a")
         assert code == 2 and out == ""
         assert "resource limit" in err
 

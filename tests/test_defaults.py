@@ -20,6 +20,7 @@ from luk3.defaults import (
     BraveFailure,
     BraveProof,
     BraveSequent,
+    CandidateRecord,
     Disposition,
     ExtensionBasis,
     SearchLimitError,
@@ -346,6 +347,17 @@ def count_leaf_groundings(monkeypatch) -> list:
     return calls
 
 
+def assert_transcript_is_the_oracles(proof: SkepticalProof, t: DefaultTheory) -> None:
+    """The transcript lists, in rank order, exactly the ranks that an
+    unpruned sweep of the firing operator keeps, each kept and with the
+    indices of its defaults."""
+    assert all(r.kept for r in proof.transcript)
+    ranks = [r for r, kept in enumerate(oracles.kept_flags(t)) if kept]
+    assert [r.rank for r in proof.transcript] == ranks
+    assert [r.fired_indices for r in proof.transcript] == [
+        tuple(i for i in range(len(t.defaults)) if r >> i & 1) for r in ranks]
+
+
 def chain(n_defaults: int) -> DefaultTheory:
     """Fact a0, the chain a_i : a_{i+1} / a_{i+1} and the fork a0 : z / z,
     a0 : ~z / ~z; ``n_defaults`` counts the fork's two defaults."""
@@ -395,7 +407,9 @@ class TestChain:
         # the checker runs the engine's search, with the same cuts
         assert len(calls) == 2 * decided
         mutants = list(skeptical_mutants(proof))
-        assert len(mutants) == 266  # 264, plus one reordering for each of 2 verdicts firing two
+        # a flip of each of the 2 kept records, 4 mutants of each verdict,
+        # and one reordering for each of 2 verdicts firing two
+        assert len(mutants) == 12
         assert not any(check_skeptical_proof(m) for m in mutants)
 
     def test_twelve_default_skeptical_certificate_checks_without_truth_tables(self, monkeypatch):
@@ -424,26 +438,36 @@ class TestChain:
                             v._replace(satisfies_constraints=not v.satisfies_constraints)):
                 mutants.append(proof._replace(verdicts=proof.verdicts[:i] + (mutated,)
                                               + proof.verdicts[i + 1:]))
-        # the chain's first default with either side of the fork is kept
-        assert [r.rank for r in proof.transcript if r.kept] == [1 | 1 << 10, 1 | 1 << 11]
-        for r in (1 | 1 << 10, 1 | 1 << 11, 0, 1 | 3 << 10):
-            record = proof.transcript[r]
-            mutants.append(proof._replace(transcript=proof.transcript[:r]
-                                          + (record._replace(kept=not record.kept),)
-                                          + proof.transcript[r + 1:]))
+        # the chain's first default with either side of the fork is kept, as
+        # the oracle finds on shorter chains
+        assert proof.transcript == (CandidateRecord(1 | 1 << 10, (0, 10), True),
+                                    CandidateRecord(1 | 1 << 11, (0, 11), True))
+        for i, record in enumerate(proof.transcript):
+            mutants.append(proof._replace(transcript=proof.transcript[:i]
+                                          + (record._replace(kept=False),)
+                                          + proof.transcript[i + 1:]))
+        # a record for a rank the search does not keep, in its rank order
+        mutants += [proof._replace(transcript=(CandidateRecord(0, (), True),) + proof.transcript),
+                    proof._replace(transcript=proof.transcript
+                                   + (CandidateRecord(1 | 3 << 10, (0, 10, 11), True),))]
         # the transcript's order, indices and length are checked as well as its flags
-        kept = 1 | 1 << 10
+        swapped = proof._replace(transcript=proof.transcript[::-1])
         transcript = list(proof.transcript)
-        transcript[0], transcript[kept] = transcript[kept], transcript[0]
-        swapped = proof._replace(transcript=tuple(transcript))
-        transcript = list(proof.transcript)
-        transcript[kept] = transcript[kept]._replace(fired_indices=(0,))
+        transcript[0] = transcript[0]._replace(fired_indices=(0,))
         mutants += [swapped, proof._replace(transcript=tuple(transcript)),
                     proof._replace(transcript=proof.transcript[:-1]),
                     proof._replace(transcript=proof.transcript + proof.transcript[-1:])]
         assert not any(check_skeptical_proof(m) for m in mutants)
         assert not check_skeptical_proof(skeptical_proof_from_doc(json.loads(json.dumps(
             skeptical_proof_to_doc(swapped)))))
+
+    def test_skeptical_transcript_agrees_with_oracle(self):
+        for n in range(3, 7):
+            t = chain(n)
+            proof = skeptical_decide(SkepticalSequent(frozenset(), t.facts, t.defaults,
+                                                      frozenset({Poss(Atom("a1"))})))
+            assert_transcript_is_the_oracles(proof, t)
+            assert [r.rank for r in proof.transcript] == [1 | 1 << (n - 2), 1 | 1 << (n - 1)]
 
     def test_brave_agrees_with_oracle(self):
         a1, a2 = Atom("a1"), Atom("a2")
@@ -467,15 +491,12 @@ def test_never_fireable_defaults_are_rejected_unswept():
     assert e.fired == t.defaults[:1]
     q = SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({MB}))
     proof = skeptical_decide(q)
-    assert [r.kept for r in proof.transcript] == [False, True] + [False] * 6
+    assert_transcript_is_the_oracles(proof, t)
+    assert [r.rank for r in proof.transcript] == [1]
     assert check_skeptical_proof(proof)
 
 
 def test_sweep_budget_covers_every_query(monkeypatch):
-    # a skeptical transcript lists all 2^20 ranks, past the budget
-    t = theory("fact: a.\n" + "".join(f"default: a : b{i} / b{i}.\n" for i in range(20)))
-    with pytest.raises(SearchLimitError):
-        skeptical_decide(SkepticalSequent(frozenset(), t.facts, t.defaults, frozenset({A})))
     # 20 forked pairs have 2^20 extensions, so their search exceeds the
     # budget; lowered, it is exceeded within a few leaves
     forked = forked_pairs(20)
@@ -484,6 +505,9 @@ def test_sweep_budget_covers_every_query(monkeypatch):
         extensions(forked)
     with pytest.raises(SearchLimitError):
         brave_prove(BraveSequent(forked.facts, forked.defaults, frozenset({MB}), frozenset()))
+    with pytest.raises(SearchLimitError):
+        skeptical_decide(SkepticalSequent(frozenset(), forked.facts, forked.defaults,
+                                          frozenset({A})))
 
 
 def forked_pairs(n: int) -> DefaultTheory:
@@ -733,7 +757,7 @@ def test_non_normal_agrees_with_oracles(drawn):
             brave_proof_to_doc(brave)))))
     if skeptical:
         # the search keeps exactly the ranks an unpruned sweep keeps
-        assert [r.kept for r in skeptical.transcript] == oracles.kept_flags(t)
+        assert_transcript_is_the_oracles(skeptical, t)
         assert check_skeptical_proof(skeptical)
         assert check_skeptical_proof(skeptical_proof_from_doc(json.loads(json.dumps(
             skeptical_proof_to_doc(skeptical)))))
@@ -772,7 +796,7 @@ def test_skeptical_brave_duality_on_small_sweep(family):
         assert bool(result) == (not brave_prove(brave_translation(q)))
         assert bool(result) == oracles.skeptical_holds(t, q.sigma, q.theta)
         if result:
-            assert [r.kept for r in result.transcript] == oracles.kept_flags(t)
+            assert_transcript_is_the_oracles(result, t)
 
 
 @pytest.fixture
@@ -926,6 +950,20 @@ class TestCertificates:
         assert not check_brave_proof(brave_proof_from_doc(doc))
         doc = json.loads(json.dumps(skeptical_proof_to_doc(self._skeptical_proof())))
         doc["extensions"][0]["fired"] = [1]
+        assert not check_skeptical_proof(skeptical_proof_from_doc(doc))
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[0].update(kept=False),
+        lambda t: t.insert(0, {"rank": 0, "fired": [], "kept": True}),
+        lambda t: t.pop(),
+    ], ids=["unkept-record", "unkept-rank", "dropped-record"])
+    def test_well_typed_wrong_transcripts_reach_the_checker(self, edit):
+        # the fork keeps ranks 1 and 2, one record each; a wrong transcript
+        # is read without error, and the checker rejects it
+        doc = json.loads(json.dumps(skeptical_proof_to_doc(self._skeptical_proof())))
+        assert doc["transcript"] == [{"rank": 1, "fired": [0], "kept": True},
+                                     {"rank": 2, "fired": [1], "kept": True}]
+        edit(doc["transcript"])
         assert not check_skeptical_proof(skeptical_proof_from_doc(doc))
 
     @pytest.mark.parametrize("index", ["1", True, 1.0, None])
