@@ -22,10 +22,10 @@ search.  The search takes its entailment test as an argument: the engine
 takes the sequent calculus's answer, and the skeptical checker takes it only
 once check_proof or check_refutation accepts the calculus's proof or
 refutation.  The engine decides ``basis |= f`` over the slice of the basis
-whose atom-connected components share an atom with f: the rest shares no
-atom with that slice or with f, so it changes the answer only when one of
-its components has no all-t model, which one cached sequent per component
-decides.  Certificates carry those sliced proofs, which the checkers accept
+whose atom-connected components share an atom with f, valid formulas left
+out (they hold in every model): the rest shares no atom with that slice or
+with f, so it changes the answer only when one of its components has no
+all-t model, which one cached sequent per component decides.  Certificates carry those sliced proofs, which the checkers accept
 by weakening, and refutations over the whole basis.
 Both checkers replay each piece of evidence a certificate carries, so they
 rest on those two calculus checkers and on no other decision procedure.
@@ -140,9 +140,14 @@ def _components(basis: frozenset[Formula]
                 ) -> tuple[tuple[frozenset[str], frozenset[Formula]], ...] | ProofTree:
     """The atom-connected components of ``basis``, each with its atoms, or
     the proof of ``C | C | (empty)`` for the first component ``C`` (by least
-    atom name) with no all-t model, so that ``basis`` entails every formula."""
+    atom name) with no all-t model, so that ``basis`` entails every formula.
+    A formula the calculus proves valid is t in every model, so no
+    entailment needs it and no component loses its all-t model by it: it is
+    left out, and links no atoms."""
     groups: list[tuple[frozenset[str], frozenset[Formula]]] = []
     for g in basis:
+        if _proof(frozenset(), frozenset((g,))):
+            continue
         names, members, rest = _atoms(g), {g}, []
         for group in groups:
             if names.isdisjoint(group[0]):
@@ -168,7 +173,10 @@ def _entailed(basis: frozenset[Formula], f: Formula) -> ProofTree | ProofFailure
     an all-t model of ``S`` have disjoint atoms and so combine, hence
     ``R + S |= f`` exactly when ``R |= f`` or some component of ``S`` has no
     all-t model; a component of ``R`` without one makes ``R |= f`` as well.
-    Each proof's root weakens to ``entailment_sequent(basis, f)``."""
+    Valid basis formulas belong to no component (see ``_components``), so a
+    valid fact that shares an atom with every default does not make the
+    slice the whole basis.  Each proof's root weakens to
+    ``entailment_sequent(basis, f)``."""
     components = _components(basis)
     if isinstance(components, ProofTree):
         return components
@@ -556,17 +564,17 @@ def skeptical_decide(query: SkepticalSequent) -> SkepticalProof | SkepticalFailu
     DEFAULT_MAX_STATES states.
     """
     theory = DefaultTheory(query.gamma, query.delta)
+    constraints = sorted(query.sigma, key=_constraint_key)
+    goals = sorted(query.theta, key=sort_key)
     kept = []
     verdicts = []
     for rank, e in _Search(theory):
         kept.append(rank)
-        evidence = tuple(_constraint_evidence(e, c)
-                         for c in sorted(query.sigma, key=_constraint_key))
+        evidence = tuple(_constraint_evidence(e, c) for c in constraints)
         satisfied = all(ev.satisfied for ev in evidence)
         goal = goal_proof = None
         if satisfied:
-            goal = next((f for f in sorted(query.theta, key=sort_key) if _entailed(e.basis, f)),
-                        None)
+            goal = next((f for f in goals if _entailed(e.basis, f)), None)
             if goal is None:
                 return SkepticalFailure(query, e)
             goal_proof = _entailed(e.basis, goal)

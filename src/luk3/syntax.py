@@ -8,12 +8,14 @@ the two.
 
 Grammar (whitespace between tokens is ignored)::
 
-    formula := imp
-    imp     := disj ("->" imp)?            right-associative
+    formula := disj ("->" formula)?        right-associative
     disj    := conj ("|" conj)*            left-associative
     conj    := unary ("&" unary)*          left-associative
     unary   := ("~" | "L" | "M") unary | atom | "(" formula ")"
     atom    := [a-z][A-Za-z0-9_]*
+
+The infix levels are the rows of ``_BINARY``, a strength and the floors of
+the two operands; the parser and the printer both read them.
 
 Theory files (``.dl3``) are line-oriented UTF-8::
 
@@ -259,8 +261,15 @@ class Poss(_Unary):
 _RANK = {Atom: 0, Not: 1, Impl: 2, And: 3, Or: 4, Cert: 5, Poss: 6}
 _CONNECTIVE = {Not: "~", Impl: "->", And: "&", Or: "|", Cert: "L", Poss: "M"}
 
-#: The class of each prefix token, which ``TokenParser.unary`` reads.
+#: The class of each prefix and each infix token, which ``TokenParser`` reads.
 _PREFIX = {token: cls for cls, token in _CONNECTIVE.items() if issubclass(cls, _Unary)}
+_INFIX = {token: cls for cls, token in _CONNECTIVE.items() if issubclass(cls, _Binary)}
+
+#: Each infix token's binding strength, and the floors of its left and
+#: right operands: an operand binding less tightly than its floor is
+#: parenthesized.  A prefix operand's floor is above them all.  The
+#: parser reads the same rows, so it groups as the printer does.
+_BINARY = {"->": (1, 2, 1), "|": (2, 2, 3), "&": (3, 3, 4)}
 
 #: Argument count of each connective token.
 ARITY = {token: 1 if issubclass(cls, _Unary) else 2 for cls, token in _CONNECTIVE.items()}
@@ -408,7 +417,8 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
 
 class TokenParser:
     """Recursive-descent parser over a token list; ``read`` is the one
-    entry for a whole text.
+    entry for a whole text.  ``formula`` reads the infix operators by one
+    precedence-climbing loop over ``_BINARY``'s strengths and right floors.
 
     The grammar entry points are methods so that other modules can embed
     formulas and defaults in their own surface syntax (sequents, constraint
@@ -458,21 +468,15 @@ class TokenParser:
     # -- formula grammar ----------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.accept("->"):
-            return Impl(left, self.formula())
-        return left
+        return self._infix(0)
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.accept("|"):
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
+    def _infix(self, floor: int) -> Formula:
+        """A unary operand joined by every infix operator whose strength
+        reaches ``floor``, each right operand read at its right floor."""
         f = self.unary()
-        while self.accept("&"):
-            f = And(f, self.unary())
+        while (row := _BINARY.get(token := self.peek().kind)) and row[0] >= floor:
+            self._pos += 1
+            f = _INFIX[token](f, self._infix(row[2]))
         return f
 
     def unary(self) -> Formula:
@@ -484,7 +488,7 @@ class TokenParser:
         if tok is not None:
             return Atom(tok.text)
         if self.accept("("):
-            f = self.formula()
+            f = self._infix(0)
             self.expect(")")
             return f
         self.fail("a formula")
@@ -556,11 +560,6 @@ def parse_theory(text: str) -> DefaultTheory:
 
 # ---------------------------------------------------------------------------
 # Printer
-
-#: Each binary token's binding strength, and the floors of its left and
-#: right operands: an operand binding less tightly than its floor is
-#: parenthesized.  A prefix operand's floor is above them all.
-_BINARY = {"->": (1, 2, 1), "|": (2, 2, 3), "&": (3, 3, 4)}
 
 
 def print_formula(f: Formula) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import itertools
 import pickle
 import re
 import sys
@@ -40,6 +41,7 @@ from luk3.syntax import (
     sort_key,
     tokenize,
 )
+from luk3.syntax import _BINARY
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -96,6 +98,25 @@ class TestParseFormula:
         with pytest.raises(ParseError) as err:
             parse_formula("(a -> b")
         assert "')'" in err.value.message
+
+    @pytest.mark.parametrize("first, second", list(itertools.product(_BINARY, repeat=2)))
+    def test_infix_grouping_follows_the_printer_table(self, first, second):
+        # b is the right operand of the first operator when the second binds
+        # at least as tightly as that operand's floor
+        cls = {"->": Impl, "|": Or, "&": And}
+        assert cls.keys() == _BINARY.keys()
+        text = f"a {first} b {second} c"
+        if _BINARY[second][0] >= _BINARY[first][2]:
+            expected = cls[first](A, cls[second](B, C))
+        else:
+            expected = cls[second](cls[first](A, B), C)
+        f = parse_formula(text)
+        assert f == expected
+        assert print_formula(f) == text  # so the printed text parses back to f
+
+    def test_deep_parentheses(self):
+        # one parenthesised level costs the parser two frames
+        assert parse_formula("(" * 400 + "p" + ")" * 400) == Atom("p")
 
 
 class TestPrintFormula:
