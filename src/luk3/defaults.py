@@ -25,8 +25,10 @@ refutation.  The engine decides ``basis |= f`` over the slice of the basis
 whose atom-connected components share an atom with f, valid formulas left
 out (they hold in every model): the rest shares no atom with that slice or
 with f, so it changes the answer only when one of its components has no
-all-t model, which one cached sequent per component decides.  Certificates carry those sliced proofs, which the checkers accept
-by weakening, and refutations over the whole basis.
+all-t model, which one cached sequent per component decides.  Certificates
+carry those sliced proofs, which the checkers accept by weakening, and
+refutations over the whole basis, each guided by the failed proofs that
+decided its non-entailment: no question runs a second proof search.
 Both checkers replay each piece of evidence a certificate carries, so they
 rest on those two calculus checkers and on no other decision procedure.
 Queries, results and certificate parts are immutable named tuples.
@@ -123,10 +125,19 @@ def _proof(basis: frozenset[Formula], goals: frozenset[Formula]) -> ProofTree | 
 
 @cache
 def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree:
-    """Certificate of non-entailment over the whole basis, from the cached
-    failed proof; only called once ``_entailed(basis, goal)`` has failed."""
+    """Certificate of non-entailment over the whole basis, guided by the
+    failures that decided it; only called once ``_entailed(basis, goal)``
+    has failed.  Those are the slice's failed proof and, for each component
+    sharing no atom with ``goal``, the failed proof of ``C | C | (empty)``
+    (see ``_entailed``).  Their atomic leaves share no atom, so their union
+    is one failing leaf whose countermodel makes every basis formula t and
+    ``goal`` not t: valid basis formulas, in no component, are t in every
+    model.  No proof search runs over the whole basis."""
+    disjoint = _atoms(goal).isdisjoint
+    leaves = [_entailed(basis, goal).leaf]
+    leaves += [_proof(c, frozenset()).leaf for names, c in _components(basis) if disjoint(names)]
     return refutation_from_failure(AntiSequent3.of(basis, basis, (goal,)),
-                                   _proof(basis, frozenset((goal,))))
+                                   ProofFailure(Sequent3(*map(frozenset.union, *leaves))))
 
 
 @cache
@@ -291,14 +302,15 @@ class _Search:
     def _cut(self, inside: tuple[int, ...], outside: tuple[int, ...],
              low: frozenset[Formula], high: frozenset[Formula]) -> bool:
         """Whether no kept subset lies between ``low`` and ``high``: an IN
-        default has a prerequisite that neither basis entails or a blocking
-        formula that ``low`` entails (it cannot fire), or an OUT default has
-        a prerequisite that ``low`` entails and no blocking formula that
-        ``high`` entails (it must fire)."""
+        default has a prerequisite that ``high`` does not entail or a
+        blocking formula that ``low`` entails (it cannot fire), or an OUT
+        default has a prerequisite that ``low`` entails and no blocking
+        formula that ``high`` entails (it must fire).  ``low`` is a subset
+        of ``high``, so a prerequisite ``low`` entails ``high`` entails too,
+        and one question decides it."""
         entailed, defaults, blocking = self.entailed, self.theory.defaults, self.blocking
         for k in inside:
-            prereq = defaults[k].prereq
-            if not (entailed(low, prereq) or entailed(high, prereq)):
+            if not entailed(high, defaults[k].prereq):
                 return True
             for f in blocking[k]:
                 if entailed(low, f):

@@ -5,7 +5,7 @@ import random
 from time import perf_counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import luk3.defaults
@@ -59,6 +59,7 @@ from luk3.syntax import (
     parse_formula,
     parse_theory,
 )
+from luk3.antisequent import AntiSequent3, check_refutation
 from luk3.sequent import Sequent3, check_proof, entailment_sequent, prove
 
 A, B, C, Z = Atom("a"), Atom("b"), Atom("c"), Atom("z")
@@ -617,6 +618,34 @@ class TestSlicedEvidence:
             assert not check_skeptical_proof(cert)
 
 
+def test_refutations_search_no_proof_over_the_whole_basis(monkeypatch, cold_caches):
+    """A refutation is read off the failed proofs that decided its
+    non-entailment: the one over the goal's slice and the one of ``C | C |
+    (empty)`` for each other component.  Each forked pair is one component
+    of the final bases, so no sequent the calculus is asked names atoms of
+    two pairs: not for the brave Theta refutations, the skeptical
+    constraint refutations, or the skeptical checker's replay."""
+    asked = []
+    real = luk3.defaults.prove
+    monkeypatch.setattr(luk3.defaults, "prove", lambda s: asked.append(s) or real(s))
+    forked = forked_pairs(3)
+    z0, z1 = Atom("z0"), Atom("z1")
+    brave = brave_prove(BraveSequent(forked.facts, forked.defaults,
+                                     frozenset({Poss(z0)}), frozenset({Poss(Not(z1))})))
+    assert brave and brave.theta_refutations
+    skeptical = skeptical_decide(SkepticalSequent(frozenset(parse_constraints("-M ~z0")),
+                                                  forked.facts, forked.defaults,
+                                                  frozenset({Poss(z0)})))
+    assert skeptical and any(ev.refutation for v in skeptical.verdicts for ev in v.evidence)
+    for c in vars(luk3.defaults).values():
+        if hasattr(c, "cache_clear"):
+            c.cache_clear()
+    assert check_skeptical_proof(skeptical)
+    assert asked
+    for s in asked:
+        assert len({n for n in s.atoms() if n.startswith("z")}) <= 1
+
+
 def test_search_meets_the_wide_theory_targets(monkeypatch, cold_caches):
     """16 independent defaults give their one extension in at most 17 leaf
     groundings, not 2^16; 8 and 10 forked pairs keep all 2^8 and 2^10
@@ -684,6 +713,39 @@ def test_sliced_entailment_agrees_with_truth_tables(drawn):
     if decided:
         assert check_proof(decided)
         assert all(map(frozenset.issubset, decided.conclusion, entailment_sequent(basis, f)))
+
+
+PAIR_FORMULAS = {(f"x{i}", f"x{j}"): formulas_strategy((f"x{i}", f"x{j}"), max_leaves=4)
+                 for i in range(8) for j in range(i, 8)}
+
+
+@st.composite
+def non_entailments(draw):
+    """A basis of 1 to 6 formulas over 6 to 8 atoms, each formula over one
+    or two of them, sometimes with a valid formula, and a goal it does not
+    entail, over the same atoms or over one the basis does not hold."""
+    n = draw(st.integers(6, 8))
+    groups = st.sampled_from([g for g in PAIR_FORMULAS if int(g[1][1:]) < n])
+    basis = [draw(PAIR_FORMULAS[draw(groups)]) for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        x = Atom(f"x{draw(st.integers(0, n - 1))}")
+        basis.append(Impl(x, x))
+    goal = draw(PAIR_FORMULAS[draw(groups)] if draw(st.booleans()) else SMALL_FORMULAS["u"])
+    assume(not luk3.defaults._entailed(frozenset(basis), goal))
+    return frozenset(basis), goal
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(non_entailments())
+@example((frozenset({parse_formula("x0 -> x0"), parse_formula("x1 & x2"),
+                     parse_formula("M x3")}), parse_formula("u")))
+@example((frozenset({parse_formula("(x0 -> x0) | (x1 -> x1)"), parse_formula("x0 | ~x1"),
+                     parse_formula("L x2"), parse_formula("x3 -> ~x4")}),
+          parse_formula("x1 & x5")))
+def test_refutation_from_the_deciding_failures_checks(drawn):
+    basis, f = drawn
+    assert check_refutation(luk3.defaults._refutation(basis, f),
+                            AntiSequent3.of(basis, basis, (f,)))
 
 
 @st.composite
