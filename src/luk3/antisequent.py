@@ -293,14 +293,12 @@ def refutation_to_doc(tree: RefutationTree) -> dict:
 
 
 def refutation_from_doc(doc) -> RefutationTree:
-    """Read a refutation document back.  Within one document each distinct
-    component text is split once, and each formula entry is looked up by
-    its text and tokenized only when first seen; a text that does not split
-    into entries is parsed in full.  Raises ParseError for a bad
-    anti-sequent text, exactly as ``parse_antisequent`` does on it, and
-    ValueError for a malformed node."""
-    formulas: dict[str, Formula] = {}
-    fields: dict[str, frozenset[Formula]] = {}
+    """Read a refutation document back.  Each formula entry is looked up by
+    its text among the live formulas' canonical prints, and tokenized only
+    when it names none; a text that does not split into entries is parsed
+    in full.  Raises ParseError for a bad anti-sequent text, exactly as
+    ``parse_antisequent`` does on it, and ValueError for a malformed
+    node."""
     nodes = []
     premises = [doc]
     while premises:
@@ -314,7 +312,7 @@ def refutation_from_doc(doc) -> RefutationTree:
                     or not all(isinstance(v, str) for v in doc["witness"].values())):
                 raise ValueError("malformed refutation document")
             witness = Interpretation.from_mapping(doc["witness"])
-        comps = _read_components(text, "![", formulas, fields)
+        comps = _read_components(text, "![")
         nodes.append((parse_antisequent(text) if comps is None else AntiSequent3(*comps),
                       rule, witness))
     tree = None

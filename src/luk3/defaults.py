@@ -639,25 +639,23 @@ def check_brave_proof(proof: BraveProof) -> bool:
         if d not in remaining:
             return False
         remaining.remove(d)
+        # each optional field is given exactly on the steps of its kind
+        if ((step.groundedness is None) == (step.kind == FIRED)
+                or (step.justification_index is None) == (step.kind == BLOCKED_JUST)):
+            return False
         if step.kind == FIRED:
-            if (step.justification_index is not None
-                    or not _replayed(basis, d.prereq, step.groundedness, None)):
+            if not _replayed(basis, d.prereq, step.groundedness, None):
                 return False
             basis |= {Poss(d.consequent)}
             theta |= set(_blocking_formulas(d))
         elif step.kind == BLOCKED_PREREQ:
-            if step.groundedness is not None or step.justification_index is not None:
-                return False
             theta.add(d.prereq)
         elif step.kind == BLOCKED_JUST:
             j = step.justification_index
-            if (step.groundedness is not None or not isinstance(j, int) or isinstance(j, bool)
-                    or not 1 <= j <= len(d.justifications)):
+            if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= len(d.justifications):
                 return False
             sigma.add(Not(d.justifications[j - 1]))
         elif step.kind == BLOCKED_CERT:
-            if step.groundedness is not None or step.justification_index is not None:
-                return False
             sigma.add(Not(Cert(d.consequent)))
         else:
             return False

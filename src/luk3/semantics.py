@@ -75,7 +75,7 @@ class TruthValue(Enum):
     def from_symbol(cls, s: str) -> "TruthValue":
         try:
             return _BY_SYMBOL[s]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable s
             raise ValueError(f"not a truth value: {s!r} (expected f, u or t)") from None
 
 

@@ -25,6 +25,7 @@ node, which a tuple has no room for.
 
 from __future__ import annotations
 
+import weakref
 from functools import cache
 from itertools import product
 from operator import itemgetter
@@ -473,23 +474,24 @@ def _parse_triple(text: str, head: str, cls: type[ComponentTriple]) -> Component
 #: The tokenizer's blanks, stripped from the ends of an entry.
 _BLANKS = " \t\r\n"
 
+#: Live formulas by the canonical print that names them in a document,
+#: held weakly: at most one text per live formula, dropped when it dies.
+_entries: weakref.WeakValueDictionary[str, Formula] = weakref.WeakValueDictionary()
 
-def _read_components(text: str, head: str, formulas: dict[str, Formula],
-                     fields: dict[str, frozenset[Formula]]
-                     ) -> list[frozenset[Formula]] | None:
+
+def _read_components(text: str, head: str) -> list[frozenset[Formula]] | None:
     """The components of ``head F ; F ; F]`` read field by field, or None
     when ``text`` needs the full parser.
 
     ``,`` and ``;`` are one-character tokens that no atom contains, and
     without ``%`` there is no comment, so splitting the raw text at them
     splits its token stream the same way.  Each field, stripped of blanks,
-    is looked up in ``fields``, so a premise that keeps a component of its
-    parent reuses the parent's frozenset.  A missing field is split into
-    entries, each looked up in ``formulas``; a missing entry is tokenized
-    and parsed alone and stored when it is exactly one formula.  An empty
-    entry, an entry that is not one formula (a stray bracket makes one),
-    or a text of another shape gives None, so the full parser decides it
-    and raises its errors.
+    is split into entries, each looked up in ``_entries``; a missing entry
+    is tokenized and parsed alone, and entered when it is exactly one
+    formula's canonical print, as the writers print it.  An empty entry,
+    an entry that is not one formula (a stray bracket makes one), or a
+    text of another shape gives None, so the full parser decides it and
+    raises its errors.
     """
     if not (text.startswith(head) and text.endswith("]")) or "%" in text:
         return None
@@ -499,21 +501,19 @@ def _read_components(text: str, head: str, formulas: dict[str, Formula],
     comps = []
     for field in raw:
         field = field.strip(_BLANKS)
-        comp = fields.get(field)
-        if comp is None:
-            entries = []
-            if field:
-                for entry in field.split(","):
-                    entry = entry.strip(_BLANKS)
-                    f = formulas.get(entry)
+        entries = []
+        if field:
+            for entry in field.split(","):
+                entry = entry.strip(_BLANKS)
+                f = _entries.get(entry)
+                if f is None:
+                    f = _entry_formula(entry)
                     if f is None:
-                        f = _entry_formula(entry)
-                        if f is None:
-                            return None
-                        formulas[entry] = f
-                    entries.append(f)
-            comp = fields[field] = frozenset(entries)
-        comps.append(comp)
+                        return None
+                    if print_formula(f) == entry:
+                        _entries[entry] = f
+                entries.append(f)
+        comps.append(frozenset(entries))
     return comps
 
 
@@ -565,29 +565,28 @@ def proof_from_doc(doc) -> ProofTree:
     differs is read in full, and nodes with the same rule, sequent text and
     (already shared) premises are one ProofTree object, so the unedited
     copies of a subtree stay shared in a document edited in one copy, and
-    ``check_proof`` verifies each distinct subtree once.  Each distinct
-    component text is split once, and each formula entry is looked up by
-    its text and tokenized only when first seen; a text that does not split
-    into entries is parsed in full.  Raises ParseError for a bad sequent
-    text, exactly as ``parse_sequent`` does on it, and ValueError for a
-    malformed node.
+    ``check_proof`` verifies each distinct subtree once.  Each formula
+    entry is looked up by its text among the live formulas' canonical
+    prints, and tokenized only when it names none; a text that does not
+    split into entries is parsed in full.  Raises ParseError for a bad
+    sequent text, exactly as ``parse_sequent`` does on it, and ValueError
+    for a malformed node.
     """
-    return _read_proof(doc, {}, {}, {}, {})
+    return _read_proof(doc, {}, {})
 
 
-def _read_proof(doc, formulas: dict[str, Formula], fields: dict[str, frozenset[Formula]],
-                read: dict[str, tuple[dict, ProofTree]],
+def _read_proof(doc, read: dict[str, tuple[dict, ProofTree]],
                 nodes: dict[tuple[str, str, tuple[int, ...]], ProofTree]) -> ProofTree:
     rule, text, premises = _node_fields(doc, "proof")
     first = read.get(text)
     if first is None:
-        comps = _read_components(text, "[", formulas, fields)
+        comps = _read_components(text, "[")
         s = parse_sequent(text) if comps is None else Sequent3(*comps)
     elif first[0] == doc:
         return first[1]
     else:
         s = first[1].conclusion
-    subproofs = tuple(_read_proof(p, formulas, fields, read, nodes) for p in premises)
+    subproofs = tuple(_read_proof(p, read, nodes) for p in premises)
     key = (rule, text, tuple(map(id, subproofs)))
     node = nodes.get(key)
     if node is None:

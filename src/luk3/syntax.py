@@ -32,9 +32,8 @@ parser through ``TokenParser.read``, its one whole-text entry.
 
 Formula nodes are hash-consed: every constructor looks the node up in a weak
 table that threads enter under one lock, so equal live formulas are one
-object and compare by identity.  Each node stores its hash (its field
-tuple's), its sort key, its depth and its arguments, so none depends on the
-formula's size.
+object, and they compare and hash by identity.  Each node stores its sort
+key, its depth and its arguments, so none depends on the formula's size.
 Formulas, ``ProofTree`` and ``Interpretation`` share one frozen-record base,
 ``_Record``.  ``Default`` and ``DefaultTheory`` are immutable named tuples
 that validate their fields on construction and in ``_replace``.
@@ -46,7 +45,7 @@ import _thread
 import re
 import warnings
 import weakref
-from typing import Callable, Iterable, NamedTuple, NoReturn, TypeVar
+from typing import Callable, NamedTuple, NoReturn, TypeVar
 
 __all__ = [
     "ARITY",
@@ -106,7 +105,7 @@ class _Record:
     fields (those in ``__match_args__``; other slots are private), hashes as
     its field tuple, prints like a dataclass and pickles through its
     constructor.  Assignment and deletion raise ``FrozenInstanceError``.
-    ``Formula`` keeps the hash but compares by identity (see its table)."""
+    ``Formula`` compares and hashes by identity instead (see its table)."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -142,18 +141,16 @@ class Formula(_Record):
     """Base class of the formula AST: immutable, interned nodes.
 
     Constructing a node equal to a live one returns that object, in any
-    thread, so ``==`` is identity; the hash is still the field tuple's.  A
-    copy is the node itself.  Each node stores its hash, its sort key, its
-    depth and its arguments (``children``); all four are built in O(1) from
-    the children's stored values.
+    thread, so ``==`` and the hash are the object's identity.  A copy is
+    the node itself.  Each node stores its sort key, its depth and its
+    arguments (``children``); all three are built in O(1) from the
+    children's stored values.
     """
 
-    __slots__ = ("_hash", "_key", "_depth", "_args", "__weakref__")
+    __slots__ = ("_key", "_depth", "_args", "__weakref__")
 
     __eq__ = object.__eq__
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     def __deepcopy__(self, memo):
         return self
@@ -180,11 +177,9 @@ def _intern(key: tuple, order: tuple, depth: int) -> Formula:
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, values):
                 object.__setattr__(node, name, value)
-            fields = tuple(values)
-            object.__setattr__(node, "_hash", hash(fields))
             object.__setattr__(node, "_key", order)
             object.__setattr__(node, "_depth", depth)
-            object.__setattr__(node, "_args", fields if depth else ())  # an atom has depth 0
+            object.__setattr__(node, "_args", tuple(values) if depth else ())  # an atom has depth 0
             _interned[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
@@ -203,7 +198,7 @@ class Atom(Formula):
         key = (cls, name)
         node = _interned_node(key)
         if node is None:
-            if not _ATOM_RE.fullmatch(name):
+            if not (isinstance(name, str) and _ATOM_RE.fullmatch(name)):
                 raise ValueError(f"invalid atom name {name!r}")
             node = _intern(key, (0, name), 0)
         return node

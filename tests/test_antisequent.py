@@ -443,7 +443,7 @@ class TestTextAndDocs:
         gc.disable()
         try:
             assert refutation_from_doc(doc)
-            assert gc.collect() == 0  # the per-document table goes with the call
+            assert gc.collect() == 0  # the reader builds no reference cycle
         finally:
             gc.enable()
 

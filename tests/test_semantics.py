@@ -181,12 +181,16 @@ class TestInterpretation:
         with pytest.raises(ValueError):
             Interpretation.from_text("a=t,a=u")
 
-    @pytest.mark.parametrize("name", ["", "P", "1bad", "a b"])
+    @pytest.mark.parametrize("name", ["", "P", "1bad", "a b", 1, None])
     def test_mapping_names_must_be_atoms(self, name):
         with pytest.raises(ValueError, match="invalid atom name"):
             Interpretation.from_mapping({name: "t"})
-        with pytest.raises(ValueError, match="invalid atom name"):
-            Interpretation.of(**{name: T})
+        if isinstance(name, str):  # keyword names are strings in any call
+            with pytest.raises(ValueError, match="invalid atom name"):
+                Interpretation.of(**{name: T})
+        # an unhashable value is not a truth value's symbol either
+        with pytest.raises(ValueError, match="not a truth value"):
+            Interpretation.from_mapping({"a": [name]})
 
     def test_order_insensitive_equality(self):
         assert Interpretation.of(a=T, b=U) == Interpretation.of(b=U, a=T)

@@ -5,6 +5,7 @@ import gc
 import json
 import pickle
 import sys
+import threading
 from itertools import product
 
 import pytest
@@ -44,6 +45,7 @@ from luk3.syntax import (
     children,
     connective,
     parse_formula,
+    print_formula,
     sort_key,
 )
 
@@ -591,6 +593,70 @@ class TestDocSharing:
             seen.clear()
             assert proof_from_doc(doc) == tree
             assert len(seen) == len(set(seen)) and set(seen) <= entries
+
+    def test_entry_table_holds_the_live_canonical_texts(self, monkeypatch):
+        # atoms of their own, so that no other test keeps these formulas alive
+        doc = proof_to_doc(prove(parse_sequent("[ ; ; e_p & e_q -> e_q | e_r]")))
+        texts = {entry.strip() for _, node in _doc_nodes(doc)
+                 for field in node["sequent"][1:-1].split(";")
+                 for entry in field.split(",") if entry.strip()}
+        seen: list[str] = []
+        real = luk3.syntax.tokenize
+
+        def counting(text, *args):
+            seen.append(text)
+            return real(text, *args)
+
+        monkeypatch.setattr(luk3.syntax, "tokenize", counting)
+        first = proof_from_doc(doc)
+        assert set(seen) == texts <= set(luk3.sequent._entries)
+        seen.clear()
+        assert proof_from_doc(doc) == first and seen == []  # no entry is tokenized again
+        # entries that are not a canonical print are read, but not kept
+        odd = proof_from_doc({"rule": "axiom", "sequent": "[(e_p), e_p&e_q ; e_p ; e_p]",
+                              "premises": []})
+        assert odd.conclusion == parse_sequent("[e_p, e_p & e_q ; e_p ; e_p]")
+        assert "e_p" in luk3.sequent._entries
+        assert not {"(e_p)", "e_p&e_q"} & set(luk3.sequent._entries)
+        assert all(print_formula(f) == text for text, f in luk3.sequent._entries.items())
+        del first, odd
+        gc.collect()
+        assert not texts & set(luk3.sequent._entries)
+
+    def test_threads_read_through_one_entry_table(self):
+        # Readers in several threads enter the same texts, and drop them as
+        # their trees die, at once: each must still read back its own proof.
+        threads, rounds = 4, 8
+        roots = [parse_sequent(f"[ ; ; t_{i} & t_{i + 1} -> t_{i + 1} | t_{i}]")
+                 for i in range(10)]
+        docs = [proof_to_doc(prove(root)) for root in roots]
+        texts = [print_sequent(root) for root in roots]
+        del roots
+        barrier = threading.Barrier(threads, timeout=10)
+        wrong: list[str] = []
+
+        def read(k):
+            barrier.wait()
+            for r in range(rounds):
+                for text, doc in zip(texts, docs):
+                    if not check_proof(proof_from_doc(doc), parse_sequent(text)):
+                        wrong.append(text)
+                if r % threads == k:
+                    gc.collect()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(k,)) for k in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+        assert all(print_formula(f) == text for text, f in luk3.sequent._entries.items())
 
     def test_reading_leaves_no_cycle(self):
         doc = proof_to_doc(prove(parse_sequent("[ ; ; p -> p | p]")))

@@ -401,18 +401,19 @@ class TestInterning:
                         for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
             assert all(g is f for g in rebuilt)
 
-    def test_hash_is_that_of_the_fields(self, pool):
+    def test_hash_is_the_identity(self, pool):
         for f in pool:
-            fields = (f.name,) if isinstance(f, Atom) else children(f)
-            assert hash(f) == hash(fields)
+            assert hash(f) == object.__hash__(f)
+        # one field tuple under three classes: three live objects, three hashes
+        for same_fields in ([Not(A), Cert(A), Poss(A)], [Impl(A, B), And(A, B), Or(A, B)]):
+            assert len(set(map(hash, same_fields))) == 3
 
     def test_sort_key_matches_reference_on_pool(self, pool):
         for f in pool:
             assert sort_key(f) == _reference_key(f)
 
     def test_node_made_around_the_table_equals_only_itself(self):
-        # equality is identity; the hash stays the field tuple's
-        # (test_hash_is_that_of_the_fields)
+        # equality and the hash are the identity (test_hash_is_the_identity)
         f = Impl(A, Not(B))
         g = object.__new__(Impl)
         object.__setattr__(g, "left", A)
@@ -463,7 +464,7 @@ class TestInterning:
         for _ in range(5000):
             f, g = Not(f), Not(g)
         assert f is g and f == g and hash(f) == hash(g)
-        assert f != Not(f) and hash(f) == hash((f.arg,))
+        assert f != Not(f) and hash(f) == object.__hash__(f)
         assert sorted([Poss(f), f, Not(A), A], key=sort_key) == [A, Not(A), f, Poss(f)]
         assert frozenset({f, Not(f), g}) == {f, Not(f)}
 
