@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         answer, doc, check = args.handler(args)
         out = json.dumps(doc, indent=2, sort_keys=True) if args.json else args.view(doc)
-        if check is not None and getattr(args, "proof", None):
+        if check is not None and getattr(args, "proof", None) is not None:
             # checked and formatted before the file is opened, so a failure
             # leaves no file behind
             if not check():

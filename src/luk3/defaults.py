@@ -40,7 +40,7 @@ from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .antisequent import AntiSequent3, RefutationTree, check_refutation, refutation_from_doc, refutation_from_failure, refutation_to_doc
-from .sequent import ProofFailure, ProofTree, Sequent3, check_proof, entailment_sequent, proof_from_doc, proof_to_doc, prove
+from .sequent import ProofFailure, ProofTree, Sequent3, _read_formula, check_proof, entailment_sequent, proof_from_doc, proof_to_doc, prove
 from .syntax import (
     Cert,
     Default,
@@ -51,7 +51,6 @@ from .syntax import (
     TokenParser,
     atoms,
     parse_default,
-    parse_formula,
     print_default,
     print_formula,
     sort_key,
@@ -774,12 +773,13 @@ def _list(doc: dict, key: str, kind: type, what: str) -> list:
 
 
 def _formulas(doc: dict, key: str, what: str) -> frozenset[Formula]:
-    return frozenset(parse_formula(t) for t in _list(doc, key, str, what))
+    return frozenset(_read_formula(t) for t in _list(doc, key, str, what))
 
 
 def brave_proof_from_doc(doc) -> BraveProof:
-    """ValueError for a missing or mistyped field; a well-typed but wrong
-    certificate is read and left to the checker."""
+    """ValueError for a missing or mistyped field, and ParseError for a
+    bad formula or default text; a well-typed but wrong certificate is read
+    and left to the checker."""
     if not isinstance(doc, dict) or doc.get("kind") != "brave":
         raise ValueError("malformed brave certificate")
     qd = _typed(doc.get("query"), dict, "brave")
@@ -797,9 +797,9 @@ def brave_proof_from_doc(doc) -> BraveProof:
         query,
         steps,
         _formulas(doc, "basis", "brave"),
-        tuple((parse_formula(_typed(e.get("formula"), str, "brave")),
+        tuple((_read_formula(_typed(e.get("formula"), str, "brave")),
                proof_from_doc(e.get("proof"))) for e in _list(doc, "sigma_proofs", dict, "brave")),
-        tuple((parse_formula(_typed(e.get("formula"), str, "brave")),
+        tuple((_read_formula(_typed(e.get("formula"), str, "brave")),
                refutation_from_doc(e.get("refutation")))
               for e in _list(doc, "theta_refutations", dict, "brave")),
     )
@@ -859,8 +859,8 @@ def _indices(doc: dict, n: int) -> tuple[int, ...]:
 
 def skeptical_proof_from_doc(doc) -> SkepticalProof:
     """ValueError for a missing or mistyped field or a default index out of
-    range; a well-typed but wrong certificate is read and left to the
-    checker."""
+    range, and ParseError for a bad formula, default or constraint text; a
+    well-typed but wrong certificate is read and left to the checker."""
     if not isinstance(doc, dict) or doc.get("kind") != "skeptical":
         raise ValueError("malformed skeptical certificate")
     qd = _typed(doc.get("query"), dict, "skeptical")
@@ -885,7 +885,7 @@ def skeptical_proof_from_doc(doc) -> SkepticalProof:
             ExtensionBasis(_formulas(vd, "basis", "skeptical"), fired),
             evidence,
             _typed(vd.get("satisfies_constraints"), bool, "skeptical"),
-            goal=parse_formula(_typed(vd["goal"], str, "skeptical")) if "goal" in vd else None,
+            goal=_read_formula(_typed(vd["goal"], str, "skeptical")) if "goal" in vd else None,
             goal_proof=proof_from_doc(vd["goal_proof"]) if "goal_proof" in vd else None,
         ))
     return SkepticalProof(query, transcript, tuple(verdicts))

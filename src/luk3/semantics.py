@@ -58,6 +58,8 @@ class TruthValue(Enum):
     U = 1
     T = 2
 
+    __hash__ = object.__hash__  # members are singletons; Enum's own hashes the name in Python
+
     def __lt__(self, other):
         if not isinstance(other, TruthValue):
             return NotImplemented

@@ -486,12 +486,11 @@ def _read_components(text: str, head: str) -> list[frozenset[Formula]] | None:
     ``,`` and ``;`` are one-character tokens that no atom contains, and
     without ``%`` there is no comment, so splitting the raw text at them
     splits its token stream the same way.  Each field, stripped of blanks,
-    is split into entries, each looked up in ``_entries``; a missing entry
-    is tokenized and parsed alone, and entered when it is exactly one
-    formula's canonical print, as the writers print it.  An empty entry,
-    an entry that is not one formula (a stray bracket makes one), or a
-    text of another shape gives None, so the full parser decides it and
-    raises its errors.
+    is split into entries, each read by ``_read_formula``.  An empty entry,
+    an entry that is not one formula (a stray bracket makes one) or is
+    nested too deeply to parse, or a text of another shape gives None, so
+    the full parser decides it and raises the error of the text's first
+    fault, with its position.
     """
     if not (text.startswith(head) and text.endswith("]")) or "%" in text:
         return None
@@ -499,32 +498,28 @@ def _read_components(text: str, head: str) -> list[frozenset[Formula]] | None:
     if len(raw) != 3:
         return None
     comps = []
-    for field in raw:
-        field = field.strip(_BLANKS)
-        entries = []
-        if field:
-            for entry in field.split(","):
-                entry = entry.strip(_BLANKS)
-                f = _entries.get(entry)
-                if f is None:
-                    f = _entry_formula(entry)
-                    if f is None:
-                        return None
-                    if print_formula(f) == entry:
-                        _entries[entry] = f
-                entries.append(f)
-        comps.append(frozenset(entries))
+    try:
+        for field in raw:
+            field = field.strip(_BLANKS)
+            entries = field.split(",") if field else ()
+            comps.append(frozenset([_read_formula(entry.strip(_BLANKS)) for entry in entries]))
+    except (ParseError, RecursionError):
+        return None
     return comps
 
 
-def _entry_formula(entry: str) -> Formula | None:
-    """The formula ``entry`` spells exactly, or None.  A formula nested too
-    deeply to parse also gives None: the full parser then raises the error
-    the text's first fault gives, which may be a ParseError further on."""
-    try:
-        return TokenParser.read(entry, TokenParser.formula)
-    except (ParseError, RecursionError):
-        return None
+def _read_formula(text: str) -> Formula:
+    """The formula a certificate's formula ``text`` names.  It is looked up
+    in ``_entries``; a miss is tokenized and parsed, and entered when
+    ``text`` is the formula's canonical print, as the writers print it.
+    Raises ParseError, as ``parse_formula`` does, when ``text`` is not
+    exactly one formula."""
+    f = _entries.get(text)
+    if f is None:
+        f = TokenParser.read(text, TokenParser.formula)
+        if print_formula(f) == text:
+            _entries[text] = f
+    return f
 
 
 def _node_fields(doc, kind: str) -> tuple[str, str, list]:
@@ -541,17 +536,13 @@ def proof_to_doc(tree: ProofTree) -> dict:
     """The tree's document.  A shared subtree is written out per occurrence,
     each time as dicts of its own, so that editing one occurrence leaves the
     others; each distinct component is sorted and printed once per
-    document, and each distinct node's sequent text is built once."""
-    return _write_proof(tree, {}, {})
+    document, and each node's sequent text is joined from those prints."""
+    return _write_proof(tree, {})
 
 
-def _write_proof(node: ProofTree, texts: dict[int, str],
-                 fields: dict[frozenset[Formula], str]) -> dict:
-    text = texts.get(id(node))
-    if text is None:
-        text = texts[id(node)] = _print_triple(node.conclusion, "[", fields)
-    return {"rule": node.rule, "sequent": text,
-            "premises": [_write_proof(p, texts, fields) for p in node.premises]}
+def _write_proof(node: ProofTree, fields: dict[frozenset[Formula], str]) -> dict:
+    return {"rule": node.rule, "sequent": _print_triple(node.conclusion, "[", fields),
+            "premises": [_write_proof(p, fields) for p in node.premises]}
 
 
 def proof_from_doc(doc) -> ProofTree:
@@ -561,36 +552,24 @@ def proof_from_doc(doc) -> ProofTree:
     reading rebuilds the sharing.  The first node read with each sequent
     text is kept with its document, and a later node with the same text
     whose document is equal to it (one comparison of JSON values, made in
-    C) is that node, without a walk of its subtree.  A node whose document
-    differs is read in full, and nodes with the same rule, sequent text and
-    (already shared) premises are one ProofTree object, so the unedited
-    copies of a subtree stay shared in a document edited in one copy, and
-    ``check_proof`` verifies each distinct subtree once.  Each formula
-    entry is looked up by its text among the live formulas' canonical
-    prints, and tokenized only when it names none; a text that does not
-    split into entries is parsed in full.  Raises ParseError for a bad
-    sequent text, exactly as ``parse_sequent`` does on it, and ValueError
-    for a malformed node.
+    C) is that node, without a walk of its subtree, so ``check_proof``
+    verifies each distinct subtree of an unedited document once.  Any other
+    node is read in full.  Each formula entry is read by ``_read_formula``,
+    so it is tokenized only when it names no live formula by its canonical
+    print; a text that does not split into entries is parsed in full.
+    Raises ParseError for a bad sequent text, exactly as ``parse_sequent``
+    does on it, and ValueError for a malformed node.
     """
-    return _read_proof(doc, {}, {})
+    return _read_proof(doc, {})
 
 
-def _read_proof(doc, read: dict[str, tuple[dict, ProofTree]],
-                nodes: dict[tuple[str, str, tuple[int, ...]], ProofTree]) -> ProofTree:
+def _read_proof(doc, read: dict[str, tuple[dict, ProofTree]]) -> ProofTree:
     rule, text, premises = _node_fields(doc, "proof")
     first = read.get(text)
-    if first is None:
-        comps = _read_components(text, "[")
-        s = parse_sequent(text) if comps is None else Sequent3(*comps)
-    elif first[0] == doc:
+    if first is not None and first[0] == doc:
         return first[1]
-    else:
-        s = first[1].conclusion
-    subproofs = tuple(_read_proof(p, read, nodes) for p in premises)
-    key = (rule, text, tuple(map(id, subproofs)))
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = ProofTree(s, rule, subproofs)
-    if first is None:
-        read[text] = (doc, node)
+    comps = _read_components(text, "[")
+    s = parse_sequent(text) if comps is None else Sequent3(*comps)
+    node = ProofTree(s, rule, tuple(_read_proof(p, read) for p in premises))
+    read.setdefault(text, (doc, node))
     return node

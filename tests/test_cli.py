@@ -358,6 +358,13 @@ class TestInputErrors:
         code, out, err = run(capsys, "prove", "[p ; q]")
         assert code == 2 and out == "" and err
 
+    def test_empty_proof_path(self, capsys, tmp_path, monkeypatch):
+        # an empty --proof names no file: an input error, not a flag left unset
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "prove", "[p ; p ; p]", "--proof", "")
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestResourceLimits:
     # nesting deeper than the recursion limit is a resource error, not a "no"

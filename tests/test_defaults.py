@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import luk3.defaults
 import luk3.semantics
+import luk3.syntax
 import oracles
 from mutation import brave_mutants, skeptical_mutants
 from conftest import formulas_strategy, query_pool
@@ -957,6 +958,37 @@ class TestCertificates:
         assert check_skeptical_proof(proof)
         for mutant in skeptical_mutants(proof):
             assert not check_skeptical_proof(mutant)
+
+    def test_read_back_tokenizes_no_live_formula_field(self, monkeypatch):
+        # the formula fields of a certificate read while an earlier read of
+        # it lives name live formulas by their canonical prints, so only
+        # the default and constraint texts go through the tokenizer
+        seen: list[str] = []
+        real = luk3.syntax.tokenize
+
+        def counting(text, *args):
+            seen.append(text)
+            return real(text, *args)
+
+        for doc, read in ((brave_proof_to_doc(self._brave_proof()), brave_proof_from_doc),
+                          (skeptical_proof_to_doc(self._skeptical_proof()),
+                           skeptical_proof_from_doc)):
+            doc = json.loads(json.dumps(doc))
+            first = read(doc)
+            q = doc["query"]
+            fields = set(q["gamma"]) | set(q["theta"])
+            if doc["kind"] == "brave":
+                fields |= set(q["sigma"]) | set(doc["basis"])
+                fields |= {e["formula"] for e in doc["sigma_proofs"] + doc["theta_refutations"]}
+            else:
+                for v in doc["extensions"]:
+                    fields |= set(v["basis"]) | ({v["goal"]} if "goal" in v else set())
+            seen.clear()
+            monkeypatch.setattr(luk3.syntax, "tokenize", counting)
+            assert read(doc) == first
+            monkeypatch.undo()
+            assert fields and not fields & set(seen)
+            assert set(seen) <= set(q["delta"]) | set(q.get("constraints", ()))
 
     def test_brave_doc_round_trip(self):
         proof = self._brave_proof()

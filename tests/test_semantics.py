@@ -42,6 +42,11 @@ class TestTruthValues:
                 assert num[evaluate(And(P, Q), value)] == min(num[x], num[y])
                 assert num[evaluate(Or(P, Q), value)] == max(num[x], num[y])
 
+    def test_hash_is_the_identity(self):
+        # members are singletons, so caches keyed by them hash in C
+        assert TruthValue.__hash__ is object.__hash__
+        assert len({F, U, T, F, U, T}) == 3
+
     def test_symbols_round_trip(self):
         for v in VALUES:
             assert TruthValue.from_symbol(v.symbol) is v

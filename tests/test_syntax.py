@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import formulas_strategy
 from luk3.antisequent import parse_antisequent
 from luk3.defaults import parse_constraints
-from luk3.sequent import _entry_formula, parse_sequent
+from luk3.sequent import _read_components, _read_formula, parse_sequent
 from luk3.syntax import (
     And,
     Atom,
@@ -288,7 +288,10 @@ def test_every_door_reports_its_error(read, text, message, line, column):
 
 @pytest.mark.parametrize("entry", ["p q", "", "p,", "(p"])
 def test_entry_that_is_not_one_formula_reads_as_none(entry):
-    assert _entry_formula(entry) is None
+    with pytest.raises(ParseError):
+        _read_formula(entry)
+    # the component reader leaves such a text to the full parser
+    assert _read_components(f"[p, {entry} ; ; ]", "[") is None
 
 
 @given(formulas_strategy())
