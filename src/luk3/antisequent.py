@@ -14,9 +14,12 @@ decided by ``prove`` on the matching sequent, and when that fails its
 countermodel falsifies every node of the chain, so committing each principal
 to its arguments' values under the countermodel always leads to an
 anti-axiom.  The chain decomposes the deepest formula first, so it is
-linear in the size of the root.  ``check_refutation`` replays the chain
-without that model: it checks each rule step and the leaf, whose witness
-alone is evaluated.
+linear in the size of the root, and it is built in one pass: a heap keyed
+by depth, then formula, then position yields each principal, and one
+memoized valuation gives every subformula of the root its value under the
+countermodel once.  ``check_refutation`` replays the chain without that
+model: it checks each rule step and the leaf, whose witness alone is
+evaluated.
 ``RefutationTree`` and ``RefutationFailure`` are immutable named tuples.
 """
 
@@ -24,16 +27,17 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import NamedTuple
 
 from .semantics import (
+    _TABLE_OF,
     VALUES,
     Interpretation,
     TruthValue,
     apply_connective,
     atomic_countermodel,
-    evaluate,
     tt_sequent_true,
 )
 from .sequent import (
@@ -47,10 +51,9 @@ from .sequent import (
     _premises,
     _print_triple,
     _read_components,
-    failure_countermodel,
     prove,
 )
-from .syntax import ARITY, Atom, Formula, children, connective
+from .syntax import ARITY, Atom, Formula, connective
 
 __all__ = [
     "AntiSequent3",
@@ -159,39 +162,81 @@ def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> Refutatio
     """The refutation chain of ``a`` guided by the countermodel of
     ``failure``, the failed proof of ``as_sequent(a)``.
 
-    Each principal is committed to the tuple of its arguments' values under
-    the countermodel.  The countermodel falsifies the root, and a tuple it
-    gives keeps falsifying the premise, so every tuple is admissible and the
-    atomic leaf has a witness.  Principals are taken outermost first
-    (``_outermost``).
+    The countermodel gives each atom the value of the least component of
+    the failure's atomic leaf that does not contain it, as
+    ``atomic_countermodel`` does, so f where the leaf does not name it; each
+    subformula of ``a`` gets one value, computed once per chain.  Each
+    principal is committed to the tuple of its arguments' values.  The
+    countermodel falsifies the root, and a tuple it gives keeps falsifying
+    the premise, so every tuple is admissible and the atomic leaf has a
+    witness.  ValueError when the leaf is an axiom or its countermodel does
+    not falsify ``a``.
+
+    Principals are taken deepest first, ties going to the canonically least
+    formula and then to the least position.  An anti-rule inserts each
+    argument into two components, so every subformula is inserted into all
+    its components before it is decomposed, and none is decomposed twice.
+    A heap of (depth, formula, position) entries, seeded from ``a`` and fed
+    with each premise's non-atomic inserts, yields the principals in that
+    order; an entry whose formula has already left its component is
+    skipped.  The chain is built in one pass over the subformulas of ``a``.
     """
-    model = failure_countermodel(failure, as_sequent(a))
+    leaf = failure.leaf
+    if leaf[0] & leaf[1] & leaf[2]:
+        raise ValueError("leaf is an axiom, not a failure witness")
+    model = _valuation(a, leaf)
+    heap = []
+    for position, (target, comp) in enumerate(zip(VALUES, a), 1):
+        for f in comp:
+            if model[f] is target:
+                raise ValueError("the failure's countermodel does not falsify the anti-sequent")
+            if f._depth:  # an atom has depth 0
+                heap.append((-f._depth, f._key, position, f))
+    heapify(heap)
     steps = []
-    while (selected := _outermost(a)) is not None:
-        principal, position = selected
-        values = tuple(evaluate(arg, model) for arg in children(principal))
+    while heap:
+        _, _, position, principal = heappop(heap)
+        if principal not in a[position - 1]:
+            continue  # decomposed through an earlier entry
+        args = principal._args
+        values = tuple(map(model.__getitem__, args))
         steps.append((a, _rule_name(connective(principal), position, values)))
         a = apply_antirule(a, principal, position, values)
+        for k, j in _antirule_inserts(values):
+            arg = args[j]
+            if arg._depth:
+                heappush(heap, (-arg._depth, arg._key, k + 1, arg))
     tree = RefutationTree(a, "anti-axiom", witness=is_antiaxiom(a))
     for conclusion, rule in reversed(steps):
         tree = RefutationTree(conclusion, rule, premise=tree)
     return tree
 
 
-def _outermost(a: AntiSequent3) -> tuple[Formula, int] | None:
-    """The deepest non-atomic formula and its least position, or None; ties
-    go to the canonically least formula.  An anti-rule inserts each argument
-    into two components, so taking the deepest first inserts every
-    subformula into all its components before it is decomposed, and none is
-    decomposed twice: the chain is linear in the size of ``a``."""
-    best = None
-    for position, comp in enumerate(a, 1):
+def _valuation(a: AntiSequent3, leaf: Sequent3) -> dict[Formula, TruthValue]:
+    """Every subformula of ``a`` with its value when each atom takes the
+    value of the least component of ``leaf`` without it.  Each subformula
+    is valued once, by a recursion of one frame per formula level, as in
+    ``evaluate``."""
+    in_first, in_second, _ = leaf
+    memo: dict[Formula, TruthValue] = {}
+
+    def value(f: Formula) -> TruthValue:
+        v = memo.get(f)
+        if v is None:
+            args = f._args
+            if not args:
+                v = VALUES[0 if f not in in_first else 1 if f not in in_second else 2]
+            elif len(args) == 1:
+                v = _TABLE_OF[type(f)](value(args[0]))
+            else:
+                v = _TABLE_OF[type(f)](value(args[0]), value(args[1]))
+            memo[f] = v
+        return v
+
+    for comp in a:
         for f in comp:
-            depth = f._depth  # an atom has depth 0
-            if depth and (best is None or depth > most
-                          or depth == most and f._key < best._key):
-                best, most, at = f, depth, position
-    return None if best is None else (best, at)
+            value(f)
+    return memo
 
 
 def countermodel_of(tree: RefutationTree) -> Interpretation:

@@ -60,14 +60,15 @@ class TruthValue(Enum):
 
     __hash__ = object.__hash__  # members are singletons; Enum's own hashes the name in Python
 
+    def __init__(self, rank: int):
+        # a plain attribute: the truth tables read it with no Python call,
+        # where a property over ``value`` makes two through enum.py
+        self.rank = rank
+
     def __lt__(self, other):
         if not isinstance(other, TruthValue):
             return NotImplemented
-        return self.value < other.value
-
-    @property
-    def rank(self) -> int:
-        return self.value
+        return self.rank < other.rank
 
     @property
     def symbol(self) -> str:

@@ -4,8 +4,10 @@ import gc
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import context_variants, sampled_principals
+from conftest import BINARY, UNARY, context_variants, sampled_principals
 from mutation import refutation_mutants
 from luk3.antisequent import (
     AntiSequent3,
@@ -20,6 +22,7 @@ from luk3.antisequent import (
     parse_antisequent,
     print_antisequent,
     refutation_from_doc,
+    refutation_from_failure,
     refutation_to_doc,
     refute,
 )
@@ -32,8 +35,18 @@ from luk3.semantics import (
     tt_sequent_true,
     tt_sequent_valid,
 )
-from luk3.sequent import Sequent3, _extend_witness, prove
-from luk3.syntax import ARITY, Atom, Not, ParseError, Poss, children, connective, parse_formula
+from luk3.sequent import ProofFailure, Sequent3, _extend_witness, prove
+from luk3.syntax import (
+    ARITY,
+    Atom,
+    Not,
+    ParseError,
+    Poss,
+    children,
+    connective,
+    parse_formula,
+    sort_key,
+)
 
 F, U, T = VALUES
 P, Q = Atom("p"), Atom("q")
@@ -188,6 +201,76 @@ def test_refute_is_linear_in_chain_length(pool, monkeypatch):
             assert not tt_sequent_true(as_sequent(a), countermodel_of(result))
         else:
             assert calls == 0, f
+
+
+def _depth(f) -> int:
+    return 1 + max(map(_depth, children(f))) if children(f) else 0
+
+
+@st.composite
+def _formulas(draw, depth: int):
+    """A formula over p, q, r of depth at most ``depth``."""
+    cls = draw(st.sampled_from((Atom, *UNARY, *BINARY))) if depth else Atom
+    if cls is Atom:
+        return Atom(draw(st.sampled_from("pqr")))
+    return cls(*(draw(_formulas(depth - 1)) for _ in range(1 if cls in UNARY else 2)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.tuples(*[st.frozensets(_formulas(4), max_size=2)] * 3))
+def test_chain_takes_the_deepest_formula_first(components):
+    # certificate bytes depend on this order: deepest non-atomic formula,
+    # then least sort key, then least position
+    a = AntiSequent3(*components)
+    result = refute(a)
+    if not result:
+        return
+    assert check_refutation(result, a)
+    node = result
+    while node.premise is not None:
+        candidates = [(-_depth(f), sort_key(f), position, f)
+                      for position, comp in enumerate(node.conclusion, 1)
+                      for f in comp if children(f)]
+        *_, position, expected = min(candidates)  # sort keys differ, so no formulas are compared
+        conn, rest = node.rule.split(":")
+        assert int(rest.partition("@")[0]) == position
+        assert node.conclusion.component(position) - node.premise.conclusion.component(position) \
+            == {expected}
+        assert conn == connective(expected)
+        node = node.premise
+
+
+def test_chain_values_each_subformula_once(monkeypatch):
+    # one memoized valuation per chain: the truth tables run at most once
+    # per subformula, where evaluating each principal's arguments afresh
+    # ran them quadratically often
+    import luk3.semantics as semantics
+
+    calls = 0
+
+    def counting(table):
+        def counted(*values):
+            nonlocal calls
+            calls += 1
+            return table(*values)
+        return counted
+
+    for cls, table in list(semantics._TABLE_OF.items()):
+        monkeypatch.setitem(semantics._TABLE_OF, cls, counting(table))
+    a = parse_antisequent("![ ; ; " + "~" * 400 + "p]")
+    result = refute(a)
+    assert calls <= 400
+    assert check_refutation(result, a)
+
+
+@pytest.mark.parametrize("leaf, message", [
+    # p=f, q=u makes p -> q t: the root formula takes its component's value
+    (Sequent3.of((Q,), (), ()), "does not falsify"),
+    (Sequent3.of((P,), (P,), (P,)), "axiom"),
+])
+def test_failure_that_does_not_refute_is_rejected(leaf, message):
+    with pytest.raises(ValueError, match=message):
+        refutation_from_failure(parse_antisequent("![ ; ; p -> q]"), ProofFailure(leaf))
 
 
 @pytest.mark.parametrize("prefix, per_level", [("~", 2), ("L", 2), ("~M", 4)])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -46,6 +48,16 @@ class TestTruthValues:
         # members are singletons, so caches keyed by them hash in C
         assert TruthValue.__hash__ is object.__hash__
         assert len({F, U, T, F, U, T}) == 3
+
+    def test_ranks_are_component_indices(self):
+        # a plain attribute on each member, read by the truth tables
+        assert [v.rank for v in VALUES] == [0, 1, 2]
+        assert all("rank" in vars(v) for v in VALUES)
+
+    def test_members_survive_pickle_and_copy_as_themselves(self):
+        for v in VALUES:
+            assert pickle.loads(pickle.dumps(v)) is v
+            assert copy.copy(v) is v and copy.deepcopy(v) is v
 
     def test_symbols_round_trip(self):
         for v in VALUES:
