@@ -16,11 +16,8 @@ refutes the root definitively.  The search reads each node's rule from a table
 keyed by the principal's class and position, and builds each premise only
 after the one before it is proved, so a failed premise leaves the rest unbuilt.
 
-Sequents are tuples of their three components.  ``ProofFailure`` and
-``RuleInstance`` are immutable named tuples; ``ProofTree`` is a record on
-the formulas' frozen-record base, with the same value semantics, because
-``check_proof`` marks each node it has checked in a private slot of the
-node, which a tuple has no room for.
+Sequents are tuples of their three components.  ``ProofTree``,
+``ProofFailure`` and ``RuleInstance`` are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .syntax import (
     Formula,
     ParseError,
     TokenParser,
-    _Record,
     atoms,
     children,
     connective,
@@ -252,31 +248,13 @@ def is_axiom(s: Sequent3) -> bool:
     return bool(s.gamma1 & s.gamma2 & s.gamma3)
 
 
-class ProofTree(_Record):
+class ProofTree(NamedTuple):
     """A proof node: its conclusion, the rule that closes it (``axiom`` or
-    ``conn:position``) and the subproofs of the rule's premises.
+    ``conn:position``) and the subproofs of the rule's premises."""
 
-    An immutable record.  It is a slotted class, not a tuple, so that
-    ``check_proof`` can mark a checked node in its private ``_trusted``
-    slot, which equality, hash, repr and pickling ignore: a copy starts
-    unchecked.
-    """
-
-    __slots__ = ("conclusion", "rule", "premises", "_trusted")
-    __match_args__ = ("conclusion", "rule", "premises")
-
-    def __init__(self, conclusion: Sequent3, rule: str,
-                 premises: tuple["ProofTree", ...] = ()):
-        _set_conclusion(self, conclusion)
-        _set_rule(self, rule)
-        _set_premises(self, premises)
-        _set_trusted(self, False)
-
-
-_set_conclusion = ProofTree.conclusion.__set__
-_set_rule = ProofTree.rule.__set__
-_set_premises = ProofTree.premises.__set__
-_set_trusted = ProofTree._trusted.__set__
+    conclusion: Sequent3
+    rule: str
+    premises: tuple[ProofTree, ...] = ()
 
 
 class ProofFailure(NamedTuple):
@@ -381,20 +359,21 @@ def check_proof(tree: ProofTree, conclusion: Sequent3 | None = None) -> bool:
     each inner node's children must be exactly the premises obtained by
     applying the node's named rule to its principal: the one formula the
     named component loses in the first premise (every rule has a premise,
-    and inserts only proper subformulas).  A node that passed is marked as
-    trusted in place (a node is immutable, so the mark stays true, and no
-    table outside the tree refers to it), so shared subtrees are verified
-    once, both in trees from ``prove`` and in trees read back by
-    ``proof_from_doc``, and a tree that differs from a checked one in a
-    single node costs the path to it.
+    and inserts only proper subformulas).  The call keeps the identities of
+    the nodes that passed, so a shared subtree is verified once per call,
+    both in trees from ``prove`` and in trees read back by
+    ``proof_from_doc``; the tree is left as it was.
     """
     if conclusion is not None and tree.conclusion != conclusion:
         return False
-    return _checked(tree)
+    return _checked(tree, set())
 
 
-def _checked(node: ProofTree) -> bool:
-    if node._trusted:
+def _checked(node: ProofTree, passed: set[int]) -> bool:
+    """Check ``node``, skipping the nodes whose ids are in ``passed``, and
+    add its id when it passes (ids, not nodes: a tuple hashes its whole
+    subtree, and the caller's tree keeps every node alive)."""
+    if id(node) in passed:
         return True
     if node.rule == "axiom":
         good = not node.premises and is_axiom(node.conclusion)
@@ -410,9 +389,9 @@ def _checked(node: ProofTree) -> bool:
                 good = (connective(f) == conn
                         and instantiate(node.conclusion, f, position).premises
                         == tuple(p.conclusion for p in node.premises)
-                        and all(_checked(p) for p in node.premises))
+                        and all(_checked(p, passed) for p in node.premises))
     if good:
-        _set_trusted(node, True)
+        passed.add(id(node))
     return good
 
 

@@ -34,9 +34,9 @@ Formula nodes are hash-consed: every constructor looks the node up in a weak
 table that threads enter under one lock, so equal live formulas are one
 object, and they compare and hash by identity.  Each node stores its sort
 key, its depth and its arguments, so none depends on the formula's size.
-Formulas, ``ProofTree`` and ``Interpretation`` share one frozen-record base,
-``_Record``.  ``Default`` and ``DefaultTheory`` are immutable named tuples
-that validate their fields on construction and in ``_replace``.
+Formulas and ``Interpretation`` share one frozen-record base, ``_Record``.
+``Default`` and ``DefaultTheory`` are immutable named tuples that validate
+their fields on construction and in ``_replace``.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ class DuplicateWarning(UserWarning):
 
 
 class _Record:
-    """Frozen value record: the base of formulas, proof trees and
-    interpretations.  It equals only a record of its own class with equal
-    fields (those in ``__match_args__``; other slots are private), hashes as
-    its field tuple, prints like a dataclass and pickles through its
-    constructor.  Assignment and deletion raise ``FrozenInstanceError``.
-    ``Formula`` compares and hashes by identity instead (see its table)."""
+    """Frozen value record: the base of formulas and interpretations.  It
+    equals only a record of its own class with equal fields (those in
+    ``__match_args__``; other slots are private), hashes as its field
+    tuple, prints like a dataclass and pickles through its constructor.
+    Assignment and deletion raise ``FrozenInstanceError``.  ``Formula``
+    compares and hashes by identity instead (see its table)."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -290,16 +290,16 @@ def sort_key(f: Formula) -> tuple:
 
 
 def atoms(f: Formula) -> tuple[str, ...]:
-    """Atom names occurring in ``f``, sorted lexicographically."""
-    seen: set[str] = set()
+    """Atom names occurring in ``f``, sorted lexicographically.  Each
+    distinct subformula is visited once, however often it occurs."""
+    seen: set[Formula] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Atom):
-            seen.add(g.name)
-        else:
-            stack.extend(children(g))
-    return tuple(sorted(seen))
+        if g not in seen:
+            seen.add(g)
+            stack.extend(g._args)
+    return tuple(sorted(g.name for g in seen if isinstance(g, Atom)))
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,11 @@ class TestRecordValues:
         assert Verdict(True) and PROOF and REFUTATION and SAMPLES[BraveProof][0]
 
     def test_records_of_another_class_differ(self):
-        assert PROOF != SAMPLES[ProofTree][0] and PROOF != tuple(values(PROOF))
         assert Interpretation(()) != () and Interpretation(()) == Interpretation(())
+
+    def test_named_tuples_equal_their_field_tuple(self):
+        assert PROOF != SAMPLES[ProofTree][0] and PROOF == tuple(values(PROOF))
+        assert Verdict(True) == (True, None)
 
     def test_validation_messages(self):
         with pytest.raises(ValueError, match="^a default needs at least one justification$"):
@@ -194,6 +197,8 @@ class TestRecordValues:
         assert D._replace(consequent=P) == Default(P, (Q,), P)
         assert type(D._replace(consequent=P)) is Default
         assert Verdict(True)._replace(holds=False) == Verdict(False)
+        assert type(PROOF._replace(rule="~:3")) is ProofTree
+        assert PROOF._replace(premises=(PROOF,)) == ProofTree(S, "axiom", (PROOF,))
 
     def test_interpretation_sorts_and_looks_up(self):
         i = Interpretation((("q", U), ("p", T)))

@@ -329,9 +329,9 @@ class TestChecker:
 
 
 class TestVerifiedMemo:
-    def test_mutant_costs_its_path(self, corpus, monkeypatch):
-        # a checked tree stays trusted, so a single-node mutant of it is
-        # verified only along the new nodes from its root to the mutation
+    @staticmethod
+    def _counting(monkeypatch) -> list[Sequent3]:
+        """The conclusions ``instantiate`` is called on from now on."""
         conclusions = []
         real = luk3.sequent.instantiate
 
@@ -339,43 +339,46 @@ class TestVerifiedMemo:
             conclusions.append(conclusion)
             return real(conclusion, *args)
 
-        proofs = [p for p in map(prove, corpus[::50]) if p and p.premises]
-        assert proofs
         monkeypatch.setattr(luk3.sequent, "instantiate", counting)
+        return conclusions
+
+    def test_shared_subtrees_checked_once_per_call(self, corpus, monkeypatch):
+        # within one call each distinct inner node is verified once, in a
+        # DAG from prove and in one read back from its document
+        proofs = [p for p in map(prove, corpus) if p]
+        assert sum(_occurrences(p) > len(_distinct_nodes(p)) for p in proofs) > 100
+        conclusions = self._counting(monkeypatch)
+        for proof in proofs:
+            for tree in (proof, proof_from_doc(proof_to_doc(proof))):
+                inner = [node for node in _distinct_nodes(tree) if node.premises]
+                conclusions.clear()
+                assert check_proof(tree, proof.conclusion)
+                assert len(conclusions) == len(inner)
+                assert {id(c) for c in conclusions} == {id(node.conclusion) for node in inner}
+
+    def test_second_call_checks_again(self, corpus, monkeypatch):
+        # a call leaves nothing on the tree: the next call on the same
+        # objects verifies every distinct inner node again
+        proofs = [p for p in map(prove, corpus[::10]) if p and p.premises]
+        assert proofs
+        conclusions = self._counting(monkeypatch)
         for proof in proofs:
             assert check_proof(proof)
             conclusions.clear()
             assert check_proof(proof)
-            assert conclusions == []
-            genuine = {id(node) for node in _distinct_nodes(proof)}
-            for mutant in proof_mutants(proof):
-                path = [node for node in _distinct_nodes(mutant) if id(node) not in genuine]
-                conclusions.clear()
-                assert not check_proof(mutant)
-                assert len(conclusions) <= len(path)
-                assert {id(c) for c in conclusions} <= {id(node.conclusion) for node in path}
+            assert len(conclusions) == sum(1 for node in _distinct_nodes(proof) if node.premises)
 
     def test_check_keeps_no_reference(self, monkeypatch):
-        # a checked node is marked in place: checking adds no reference to
-        # any node, and a pickled copy, which does not carry the mark, is
-        # verified anew
+        # checking adds no reference to any node, and a pickled copy is
+        # verified in full
         proof = prove(parse_sequent("[ ; ; (p -> q) -> (~q -> ~p)]"))
         nodes = _distinct_nodes(proof)
         before = [sys.getrefcount(node) for node in nodes]
         assert check_proof(proof)
         assert [sys.getrefcount(node) for node in nodes] == before
-        conclusions = []
-        real = luk3.sequent.instantiate
-
-        def counting(conclusion, *args):
-            conclusions.append(conclusion)
-            return real(conclusion, *args)
-
-        monkeypatch.setattr(luk3.sequent, "instantiate", counting)
+        conclusions = self._counting(monkeypatch)
         copied = pickle.loads(pickle.dumps(proof))
         assert copied == proof and hash(copied) == hash(proof)
-        assert check_proof(proof)
-        assert conclusions == []
         assert check_proof(copied)
         assert len(conclusions) == sum(1 for node in nodes if node.premises)
 
@@ -446,6 +449,11 @@ def _distinct_nodes(tree: ProofTree) -> list[ProofTree]:
             seen[id(node)] = node
             stack.extend(node.premises)
     return list(seen.values())
+
+
+def _occurrences(tree: ProofTree) -> int:
+    """The number of nodes of ``tree`` written out as a tree."""
+    return 1 + sum(map(_occurrences, tree.premises))
 
 
 def _doc_nodes(doc: dict, path: tuple[int, ...] = ()):

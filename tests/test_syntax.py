@@ -9,15 +9,24 @@ import sys
 import threading
 import weakref
 from dataclasses import FrozenInstanceError
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas_strategy
-from luk3.antisequent import parse_antisequent
+from luk3.antisequent import AntiSequent3, countermodel_of, parse_antisequent, refute
 from luk3.defaults import parse_constraints
-from luk3.sequent import _read_components, _read_formula, parse_sequent
+from luk3.semantics import Interpretation
+from luk3.sequent import (
+    Sequent3,
+    _read_components,
+    _read_formula,
+    failure_countermodel,
+    parse_sequent,
+    prove,
+)
 from luk3.syntax import (
     And,
     Atom,
@@ -147,6 +156,26 @@ class TestAtoms:
     def test_sorted(self):
         assert atoms(parse_formula("L p & ~q")) == ("p", "q")
         assert atoms(parse_formula("M (x -> y) | x")) == ("x", "y")
+
+    def test_matches_a_walk_of_every_occurrence(self, pool):
+        def names(f):
+            return {f.name} if isinstance(f, Atom) else set().union(*map(names, children(f)))
+
+        assert all(atoms(f) == tuple(sorted(names(f))) for f in pool)
+
+    def test_shared_subformulas_are_visited_once(self):
+        # f & f shares f, so 24 rounds make 2**24 occurrences of p | ~q
+        # out of 28 distinct nodes; a walk per occurrence takes seconds
+        f = parse_formula("p | ~q")
+        for _ in range(24):
+            f = And(f, f)
+        t0 = perf_counter()
+        assert atoms(f) == ("p", "q")
+        root = Sequent3.of((), (), (f,))
+        counter = Interpretation.of(p="f", q="u")
+        assert failure_countermodel(prove(root), root) == counter
+        assert countermodel_of(refute(AntiSequent3.of((), (), (f,)))) == counter
+        assert perf_counter() - t0 < 1
 
 
 class TestTheoryFiles:
