@@ -15,16 +15,20 @@ countermodel falsifies every node of the chain, so committing each principal
 to its arguments' values under the countermodel always leads to an
 anti-axiom.  The chain decomposes the deepest formula first, so it is
 linear in the size of the root, and it is built in one pass: a heap keyed
-by depth, then formula, then position yields each principal, and one
-memoized valuation gives every subformula of the root its value under the
-countermodel once.  ``check_refutation`` replays the chain without that
-model: it checks each rule step and the leaf, whose witness alone is
-evaluated.
-``RefutationTree`` and ``RefutationFailure`` are immutable named tuples.
+by depth, then formula, then position yields each principal, and the
+semantics' memoized evaluator gives every subformula of the root its value
+under the countermodel once.  ``check_refutation`` replays the chain
+without that model: it checks each rule step and the leaf, whose witness
+alone is evaluated.
+
+Anti-sequents are named tuples of their three components that equal only
+an anti-sequent; ``RefutationTree`` and ``RefutationFailure`` are immutable
+named tuples.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from functools import cache
 from heapq import heapify, heappop, heappush
@@ -32,10 +36,10 @@ from itertools import product
 from typing import NamedTuple
 
 from .semantics import (
-    _TABLE_OF,
     VALUES,
     Interpretation,
     TruthValue,
+    _evaluate,
     apply_connective,
     atomic_countermodel,
     tt_sequent_true,
@@ -162,15 +166,14 @@ def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> Refutatio
     """The refutation chain of ``a`` guided by the countermodel of
     ``failure``, the failed proof of ``as_sequent(a)``.
 
-    The countermodel gives each atom the value of the least component of
-    the failure's atomic leaf that does not contain it, as
-    ``atomic_countermodel`` does, so f where the leaf does not name it; each
-    subformula of ``a`` gets one value, computed once per chain.  Each
-    principal is committed to the tuple of its arguments' values.  The
-    countermodel falsifies the root, and a tuple it gives keeps falsifying
-    the premise, so every tuple is admissible and the atomic leaf has a
-    witness.  ValueError when the leaf is an axiom or its countermodel does
-    not falsify ``a``.
+    The countermodel is ``atomic_countermodel`` of the failure's atomic
+    leaf, with f for every atom the leaf does not name; ``_evaluate`` gives
+    each subformula of ``a`` its value once per chain.  Each principal is
+    committed to the tuple of its arguments' values.  The countermodel
+    falsifies the root, and a tuple it gives keeps falsifying the premise,
+    so every tuple is admissible and the atomic leaf has a witness.
+    ValueError when the leaf is an axiom or not atomic, or its countermodel
+    does not falsify ``a``.
 
     Principals are taken deepest first, ties going to the canonically least
     formula and then to the least position.  An anti-rule inserts each
@@ -181,14 +184,15 @@ def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> Refutatio
     order; an entry whose formula has already left its component is
     skipped.  The chain is built in one pass over the subformulas of ``a``.
     """
-    leaf = failure.leaf
-    if leaf[0] & leaf[1] & leaf[2]:
+    witness = atomic_countermodel(failure.leaf)
+    if witness is None:
         raise ValueError("leaf is an axiom, not a failure witness")
-    model = _valuation(a, leaf)
+    table = defaultdict(lambda: TruthValue.F, witness.assignment)  # f where the leaf has no atom
+    model: dict[Formula, TruthValue] = {}
     heap = []
     for position, (target, comp) in enumerate(zip(VALUES, a), 1):
         for f in comp:
-            if model[f] is target:
+            if _evaluate(f, table, model) is target:
                 raise ValueError("the failure's countermodel does not falsify the anti-sequent")
             if f._depth:  # an atom has depth 0
                 heap.append((-f._depth, f._key, position, f))
@@ -210,33 +214,6 @@ def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> Refutatio
     for conclusion, rule in reversed(steps):
         tree = RefutationTree(conclusion, rule, premise=tree)
     return tree
-
-
-def _valuation(a: AntiSequent3, leaf: Sequent3) -> dict[Formula, TruthValue]:
-    """Every subformula of ``a`` with its value when each atom takes the
-    value of the least component of ``leaf`` without it.  Each subformula
-    is valued once, by a recursion of one frame per formula level, as in
-    ``evaluate``."""
-    in_first, in_second, _ = leaf
-    memo: dict[Formula, TruthValue] = {}
-
-    def value(f: Formula) -> TruthValue:
-        v = memo.get(f)
-        if v is None:
-            args = f._args
-            if not args:
-                v = VALUES[0 if f not in in_first else 1 if f not in in_second else 2]
-            elif len(args) == 1:
-                v = _TABLE_OF[type(f)](value(args[0]))
-            else:
-                v = _TABLE_OF[type(f)](value(args[0]), value(args[1]))
-            memo[f] = v
-        return v
-
-    for comp in a:
-        for f in comp:
-            value(f)
-    return memo
 
 
 def countermodel_of(tree: RefutationTree) -> Interpretation:

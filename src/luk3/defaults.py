@@ -201,8 +201,11 @@ def member(e: ExtensionBasis, f: Formula) -> bool:
 
 
 def closure_equivalent(b1: frozenset[Formula], b2: frozenset[Formula]) -> bool:
-    """Mutual entailment of finite bases, i.e. equality of their closures."""
-    return all(_entailed(b2, f) for f in b1) and all(_entailed(b1, f) for f in b2)
+    """Mutual entailment of finite bases, i.e. equality of their closures.
+    Each basis is walked in canonical order, so the work done up to the
+    first formula not entailed is the same in every run."""
+    return (all(_entailed(b2, f) for f in sorted(b1, key=sort_key))
+            and all(_entailed(b1, f) for f in sorted(b2, key=sort_key)))
 
 
 def _blocking_formulas(d: Default) -> tuple[Formula, ...]:
@@ -463,6 +466,9 @@ def brave_prove(query: BraveSequent) -> BraveProof | BraveFailure:
     """First extension in rank order (one per reproduced fired subset) that
     entails every Sigma formula and no Theta formula, or failure, with the
     number of states the search reached, once the search is exhausted.
+    Each extension is tested against Sigma and then Theta in canonical
+    order, so the work done up to the first failing formula is the same in
+    every run.
 
     The certificate fires the extension's defaults in firing order, each
     prerequisite proved from the basis replayed so far, then blocks every
@@ -472,9 +478,11 @@ def brave_prove(query: BraveSequent) -> BraveProof | BraveFailure:
     DEFAULT_MAX_STATES states, and ValueError on a repeated default.
     """
     search = _Search(DefaultTheory(query.gamma, query.delta))
+    sigma = sorted(query.sigma, key=sort_key)
+    theta = sorted(query.theta, key=sort_key)
     for _, e in search:
-        if (all(_entailed(e.basis, f) for f in query.sigma)
-                and not any(_entailed(e.basis, f) for f in query.theta)):
+        if (all(_entailed(e.basis, f) for f in sigma)
+                and not any(_entailed(e.basis, f) for f in theta)):
             return _brave_certificate(query, e)
     return BraveFailure(query, search.states)
 

@@ -10,9 +10,14 @@ means: every interpretation making all premises t makes the goal t.
 Everything here works by exhaustive enumeration of interpretations and serves
 as ground truth for the sequent and anti-sequent calculi.
 
-``Verdict`` is an immutable named tuple; ``Interpretation`` is a record on
-the formulas' frozen-record base that keeps a lookup table beside its sorted
-assignment.
+One memoized evaluator values formulas for ``evaluate``, the truth tables
+and the anti-sequent calculus's refutation chains: within one call, or one
+interpretation, each distinct subformula is valued once, however often it
+occurs.
+
+``Verdict`` and ``Interpretation`` are immutable named tuples; an
+``Interpretation`` sorts its assignment and rejects a repeated atom on
+construction and in ``_replace``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import total_ordering
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .syntax import _CONNECTIVE, Atom, Formula, _Record, atoms, children
+from .syntax import _CONNECTIVE, Atom, Formula, atoms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequent import Sequent3
@@ -122,23 +127,25 @@ def apply_connective(conn: str, args: tuple[TruthValue, ...]) -> TruthValue:
     return _TABLES[conn](*args)
 
 
-class Interpretation(_Record):
-    """Total map from a finite atom set to truth values.
+class _InterpretationFields(NamedTuple):
+    assignment: tuple[tuple[str, TruthValue], ...]
 
-    An immutable record of one field, ``assignment``, sorted by atom name,
-    with a lookup table beside it in a private slot.
-    """
 
-    __slots__ = ("assignment", "_table")
-    __match_args__ = ("assignment",)
+class Interpretation(_InterpretationFields):
+    """Total map from a finite atom set to truth values: one field,
+    ``assignment``, sorted by atom name."""
 
-    def __init__(self, assignment: tuple[tuple[str, TruthValue], ...]):
+    __slots__ = ()
+
+    def __new__(cls, assignment: tuple[tuple[str, TruthValue], ...]):
         pairs = tuple(sorted(assignment))
-        table = dict(pairs)
-        if len(table) != len(pairs):
+        if len({name for name, _ in pairs}) != len(pairs):
             raise ValueError("duplicate atom in interpretation")
-        _set_assignment(self, pairs)
-        _set_table(self, table)
+        return tuple.__new__(cls, (pairs,))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, "TruthValue | str"]) -> "Interpretation":
@@ -175,7 +182,7 @@ class Interpretation(_Record):
 
     def value(self, atom: str) -> TruthValue:
         try:
-            return self._table[atom]
+            return self.as_dict()[atom]
         except KeyError:
             raise UndeclaredAtomError(atom) from None
 
@@ -187,21 +194,36 @@ class Interpretation(_Record):
         return dict(self.assignment)
 
 
-_set_assignment = Interpretation.assignment.__set__
-_set_table = Interpretation._table.__set__
-
-
 def evaluate(f: Formula, interp: Interpretation) -> TruthValue:
-    """Truth value of ``f`` under ``interp``; every atom of ``f`` must be declared."""
-    table = _TABLE_OF.get(type(f))
-    if table is not None:
-        args = children(f)
-        if len(args) == 1:
-            return table(evaluate(args[0], interp))
-        return table(evaluate(args[0], interp), evaluate(args[1], interp))
-    if isinstance(f, Atom):
-        return interp.value(f.name)
-    raise TypeError(f"not a formula: {f!r}")
+    """Truth value of ``f`` under ``interp``; every atom of ``f`` must be
+    declared.  Each distinct subformula is valued once per call."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return _evaluate(f, interp.as_dict(), {})
+
+
+def _evaluate(f: Formula, table: Mapping[str, TruthValue],
+              memo: dict[Formula, TruthValue]) -> TruthValue:
+    """The value of ``f`` when each atom takes its value in ``table``, by
+    atom name.  ``memo`` keeps the value of every subformula valued so far,
+    so each distinct subformula is valued once per memo, by a recursion of
+    one frame per formula level.  UndeclaredAtomError for an atom that
+    ``table`` lacks."""
+    v = memo.get(f)
+    if v is None:
+        args = f._args
+        if not args:
+            try:
+                v = table[f.name]
+            except KeyError:
+                raise UndeclaredAtomError(f.name) from None
+        elif len(args) == 1:
+            v = _TABLE_OF[type(f)](_evaluate(args[0], table, memo))
+        else:
+            v = _TABLE_OF[type(f)](_evaluate(args[0], table, memo),
+                                   _evaluate(args[1], table, memo))
+        memo[f] = v
+    return v
 
 
 def enumerate_interpretations(atom_names: Iterable[str]) -> Iterator[Interpretation]:
@@ -227,7 +249,7 @@ class Verdict(NamedTuple):
 
 def tt_valid(f: Formula) -> Verdict:
     """Is ``f`` true under every interpretation of its atoms?"""
-    return _first_counter(atoms(f), lambda i: evaluate(f, i) is TruthValue.T)
+    return _first_counter(atoms(f), lambda i: _evaluate(f, i.as_dict(), {}) is TruthValue.T)
 
 
 def tt_entails(premises: Iterable[Formula], goal: Formula) -> Verdict:
@@ -239,17 +261,24 @@ def tt_entails(premises: Iterable[Formula], goal: Formula) -> Verdict:
     names = set(atoms(goal))
     for p in premises:
         names.update(atoms(p))
-    return _first_counter(names, lambda i: (
-        not all(evaluate(p, i) is TruthValue.T for p in premises)
-        or evaluate(goal, i) is TruthValue.T))
+
+    def holds(i: Interpretation) -> bool:
+        table = i.as_dict()
+        memo: dict[Formula, TruthValue] = {}
+        return (not all(_evaluate(p, table, memo) is TruthValue.T for p in premises)
+                or _evaluate(goal, table, memo) is TruthValue.T)
+
+    return _first_counter(names, holds)
 
 
 def tt_sequent_true(sequent: "Sequent3", interp: Interpretation) -> bool:
     """A three-sided sequent is true under ``interp`` when some component
     holds a formula taking that component's value (f, u, t in order)."""
+    table = interp.as_dict()
+    memo: dict[Formula, TruthValue] = {}
     for value, comp in zip(VALUES, sequent.components):
         for f in comp:
-            if evaluate(f, interp) is value:
+            if _evaluate(f, table, memo) is value:
                 return True
     return False
 

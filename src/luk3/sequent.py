@@ -16,8 +16,9 @@ refutes the root definitively.  The search reads each node's rule from a table
 keyed by the principal's class and position, and builds each premise only
 after the one before it is proved, so a failed premise leaves the rest unbuilt.
 
-Sequents are tuples of their three components.  ``ProofTree``,
-``ProofFailure`` and ``RuleInstance`` are immutable named tuples.
+Sequents are named tuples of their three components that equal only a
+sequent; ``ProofTree``, ``ProofFailure`` and ``RuleInstance`` are immutable
+named tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import weakref
 from functools import cache
 from itertools import product
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .semantics import VALUES, Interpretation, TruthValue, apply_connective, atomic_countermodel
@@ -71,26 +71,24 @@ def _index(position: int) -> int:
     return position - 1
 
 
-class ComponentTriple(tuple):
+class _TripleFields(NamedTuple):
+    gamma1: frozenset[Formula]
+    gamma2: frozenset[Formula]
+    gamma3: frozenset[Formula]
+
+
+class ComponentTriple(_TripleFields):
     """Shared shape of sequents and anti-sequents: one formula set per value.
 
-    A triple is a tuple of its three components, so its storage, hashing
-    and component reads run in C; its hash is that of the plain component
-    tuple.  Equality is per class: a triple equals only a triple of the same
-    class with equal components, never an anti-sequent or a plain tuple.
-    Triples are immutable, and subclasses keep ``__slots__ = ()`` so that
-    they have no attribute dict either.
+    A triple is a named tuple of its three components, so its storage,
+    hashing and component reads run in C; its hash is that of the plain
+    component tuple.  Equality is per class: a triple equals only a triple
+    of the same class with equal components, never an anti-sequent or a
+    plain tuple.  Subclasses keep ``__slots__ = ()`` so that they have no
+    attribute dict.
     """
 
     __slots__ = ()
-
-    def __new__(cls, gamma1: frozenset[Formula], gamma2: frozenset[Formula],
-                gamma3: frozenset[Formula]):
-        return tuple.__new__(cls, (gamma1, gamma2, gamma3))
-
-    gamma1 = property(itemgetter(0))
-    gamma2 = property(itemgetter(1))
-    gamma3 = property(itemgetter(2))
 
     __hash__ = tuple.__hash__
 
@@ -99,13 +97,6 @@ class ComponentTriple(tuple):
 
     def __ne__(self, other):  # tuple's own would ignore the class
         return not self == other
-
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(gamma1={self[0]!r}, "
-                f"gamma2={self[1]!r}, gamma3={self[2]!r})")
 
     @classmethod
     def of(cls, g1: Iterable[Formula] = (), g2: Iterable[Formula] = (),

@@ -34,9 +34,9 @@ Formula nodes are hash-consed: every constructor looks the node up in a weak
 table that threads enter under one lock, so equal live formulas are one
 object, and they compare and hash by identity.  Each node stores its sort
 key, its depth and its arguments, so none depends on the formula's size.
-Formulas and ``Interpretation`` share one frozen-record base, ``_Record``.
-``Default`` and ``DefaultTheory`` are immutable named tuples that validate
-their fields on construction and in ``_replace``.
+Formulas are the one record kind that is not a named tuple: ``Default``
+and ``DefaultTheory`` are immutable named tuples that validate their
+fields on construction and in ``_replace``.
 """
 
 from __future__ import annotations
@@ -99,27 +99,21 @@ class DuplicateWarning(UserWarning):
 # Formulas
 
 
-class _Record:
-    """Frozen value record: the base of formulas and interpretations.  It
-    equals only a record of its own class with equal fields (those in
-    ``__match_args__``; other slots are private), hashes as its field
-    tuple, prints like a dataclass and pickles through its constructor.
-    Assignment and deletion raise ``FrozenInstanceError``.  ``Formula``
-    compares and hashes by identity instead (see its table)."""
+class Formula:
+    """Base class of the formula AST: immutable, interned nodes.
 
-    __slots__ = ()
+    Constructing a node equal to a live one returns that object, in any
+    thread, so ``==`` and the hash are the object's identity.  A copy is
+    the node itself, and pickling rebuilds the node through its
+    constructor.  Each node stores its sort key, its depth and its
+    arguments (``children``); all three are built in O(1) from the
+    children's stored values.  A node prints like a dataclass of the
+    fields in ``__match_args__``; assignment and deletion raise
+    ``FrozenInstanceError``.
+    """
+
+    __slots__ = ("_key", "_depth", "_args", "__weakref__")
     __match_args__: tuple[str, ...] = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -134,23 +128,7 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
-
-
-class Formula(_Record):
-    """Base class of the formula AST: immutable, interned nodes.
-
-    Constructing a node equal to a live one returns that object, in any
-    thread, so ``==`` and the hash are the object's identity.  A copy is
-    the node itself.  Each node stores its sort key, its depth and its
-    arguments (``children``); all three are built in O(1) from the
-    children's stored values.
-    """
-
-    __slots__ = ("_key", "_depth", "_args", "__weakref__")
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __deepcopy__(self, memo):
         return self

@@ -59,6 +59,7 @@ from luk3.syntax import (
     Poss,
     parse_formula,
     parse_theory,
+    sort_key,
 )
 from luk3.antisequent import AntiSequent3, check_refutation
 from luk3.sequent import Sequent3, check_proof, entailment_sequent, prove
@@ -290,6 +291,21 @@ class TestBrave:
     def test_deterministic(self):
         q = BraveSequent(T_FORK.facts, T_FORK.defaults, frozenset({MB}), frozenset())
         assert brave_prove(q) == brave_prove(q)
+
+    def test_query_formulas_are_asked_in_canonical_order(self, monkeypatch):
+        # the search stops at the first Sigma formula not entailed and the
+        # first Theta formula entailed; walking a formula set, whose order
+        # follows object addresses, made the work vary from run to run
+        asked = []
+        real = luk3.defaults._entailed
+        monkeypatch.setattr(luk3.defaults, "_entailed", lambda b, f: asked.append(f) or real(b, f))
+        sigma = frozenset(Or(A, Atom(f"s{i}")) for i in reversed(range(8)))
+        theta = frozenset(Atom(f"t{i}") for i in reversed(range(8)))
+        assert brave_prove(BraveSequent(frozenset({A}), (), sigma, theta))
+        assert asked[:16] == sorted(sigma, key=sort_key) + sorted(theta, key=sort_key)
+        asked.clear()
+        assert closure_equivalent(sigma | {A}, frozenset({A}))
+        assert asked == sorted(sigma | {A}, key=sort_key) + [A]
 
 
 class TestConstraints:

@@ -1,8 +1,10 @@
 """Record contract: every record class of the public API, the formula
-classes included, is an immutable value that prints like a dataclass, and
-the records that validate their fields keep doing so.  Each compares and
-hashes as its field tuple, except the interned formulas, which compare and
-hash by identity: equal fields give one object."""
+classes and the sequent triples included, is an immutable value that
+prints like a dataclass, and the records that validate their fields keep
+doing so.  Each hashes as its field tuple, except the interned formulas,
+which compare and hash by identity: equal fields give one object.  Each
+named tuple equals its field tuple, except the triples, which equal only a
+triple of their own class."""
 
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ VERDICT = ExtensionVerdict(BASIS, (EVIDENCE,), True, goal=Q, goal_proof=PROOF)
 #: One sample per record class, with the field names in declaration order.
 SAMPLES = {
     And: (And(P, Not(Q)), ("left", "right")),
+    AntiSequent3: (A, ("gamma1", "gamma2", "gamma3")),
     Atom: (P, ("name",)),
     Cert: (Cert(P), ("arg",)),
     Impl: (Impl(Poss(P), Q), ("left", "right")),
@@ -87,6 +90,7 @@ SAMPLES = {
     SkepticalFailure: (SkepticalFailure(SKEPTICAL, BASIS), ("query", "counterexample")),
     SkepticalProof: (SkepticalProof(SKEPTICAL, (RECORD,), (VERDICT,)),
                      ("query", "transcript", "verdicts")),
+    Sequent3: (S, ("gamma1", "gamma2", "gamma3")),
     SkepticalSequent: (SKEPTICAL, ("sigma", "gamma", "delta", "theta")),
     Verdict: (Verdict(False, Interpretation.of(p=U)), ("holds", "counter")),
 }
@@ -174,8 +178,11 @@ class TestRecordValues:
     def test_successes_are_true(self):
         assert Verdict(True) and PROOF and REFUTATION and SAMPLES[BraveProof][0]
 
-    def test_records_of_another_class_differ(self):
-        assert Interpretation(()) != () and Interpretation(()) == Interpretation(())
+    def test_interpretations_equal_their_field_tuple(self):
+        i = Interpretation.of(p=T, q=U)
+        assert i == ((("p", T), ("q", U)),) and Interpretation(()) == ((),)
+        # formulas still compare by identity, never as their fields
+        assert P != ("p",) and Not(P) != (P,) and Not(P) is Not(Atom("p"))
 
     def test_named_tuples_equal_their_field_tuple(self):
         assert PROOF != SAMPLES[ProofTree][0] and PROOF == tuple(values(PROOF))
@@ -192,6 +199,8 @@ class TestRecordValues:
             DefaultTheory(frozenset(), (D,))._replace(defaults=(D, D))
         with pytest.raises(ValueError, match="^duplicate atom in interpretation$"):
             Interpretation((("p", T), ("p", U)))
+        with pytest.raises(ValueError, match="^duplicate atom in interpretation$"):
+            Interpretation(())._replace(assignment=(("p", T), ("p", U)))
 
     def test_replace_keeps_the_class(self):
         assert D._replace(consequent=P) == Default(P, (Q,), P)
@@ -203,6 +212,7 @@ class TestRecordValues:
     def test_interpretation_sorts_and_looks_up(self):
         i = Interpretation((("q", U), ("p", T)))
         assert i.assignment == (("p", T), ("q", U)) and i.atoms == ("p", "q")
+        assert i._replace(assignment=(("r", U), ("p", T))).atoms == ("p", "r")
         for clone in (copy.deepcopy(i), pickle.loads(pickle.dumps(i))):
             assert clone.value("q") is U and clone.as_dict() == {"p": T, "q": U}
 

@@ -92,6 +92,38 @@ class TestEvaluate:
         assert evaluate(parse_formula("p | q"), i) is T
         assert evaluate(parse_formula("q -> p"), i) is U
 
+    def test_shared_subformulas_are_valued_once(self, monkeypatch):
+        # p | ~q doubled 20 times by f = f & f: 24 distinct subformulas, 2^20
+        # occurrences of p; walking every occurrence took seconds
+        import luk3.semantics as semantics
+
+        calls = 0
+
+        def counting(table):
+            def counted(*values):
+                nonlocal calls
+                calls += 1
+                return table(*values)
+            return counted
+
+        for cls, table in list(semantics._TABLE_OF.items()):
+            monkeypatch.setitem(semantics._TABLE_OF, cls, counting(table))
+        f = Or(P, Not(Q))
+        for _ in range(20):
+            f = And(f, f)
+        connectives = 22  # the distinct subformulas that are not atoms
+        assert evaluate(f, Interpretation.of(p=F, q=U)) is U
+        assert calls <= connectives
+        calls = 0
+        # p=f,q=f makes f true and p=f,q=u does not: two interpretations
+        assert tt_valid(f) == (False, Interpretation.of(p=F, q=U))
+        assert calls <= 2 * connectives
+        with pytest.raises(UndeclaredAtomError) as err:
+            evaluate(f, Interpretation.of(p=T))
+        assert err.value.atom == "q"
+        with pytest.raises(TypeError, match="^not a formula: 'p'$"):
+            evaluate("p", Interpretation.of(p=T))
+
 
 class TestEnumerate:
     def test_empty_domain(self):
