@@ -28,7 +28,6 @@ named tuples.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Mapping
 from functools import cache
 from heapq import heapify, heappop, heappush
@@ -39,7 +38,7 @@ from .semantics import (
     VALUES,
     Interpretation,
     TruthValue,
-    _evaluate,
+    _falsifying_values,
     apply_connective,
     atomic_countermodel,
     tt_sequent_true,
@@ -167,13 +166,15 @@ def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> Refutatio
     ``failure``, the failed proof of ``as_sequent(a)``.
 
     The countermodel is ``atomic_countermodel`` of the failure's atomic
-    leaf, with f for every atom the leaf does not name; ``_evaluate`` gives
-    each subformula of ``a`` its value once per chain.  Each principal is
-    committed to the tuple of its arguments' values.  The countermodel
-    falsifies the root, and a tuple it gives keeps falsifying the premise,
-    so every tuple is admissible and the atomic leaf has a witness.
-    ValueError when the leaf is an axiom or not atomic, or its countermodel
-    does not falsify ``a``.
+    leaf, with f for every atom the leaf does not name.  The semantics'
+    falsification check, ``_falsifying_values``, confirms that it falsifies
+    ``a`` and gives each subformula of ``a`` its value once per chain; the
+    skeptical checker accepts its own non-entailments by the same check.
+    Each principal is committed to the tuple of its arguments' values.  The
+    countermodel falsifies the root, and a tuple it gives keeps falsifying
+    the premise, so every tuple is admissible and the atomic leaf has a
+    witness.  ValueError when the leaf is an axiom or not atomic, or its
+    countermodel does not falsify ``a``.
 
     Principals are taken deepest first, ties going to the canonically least
     formula and then to the least position.  An anti-rule inserts each
@@ -184,18 +185,9 @@ def refutation_from_failure(a: AntiSequent3, failure: ProofFailure) -> Refutatio
     order; an entry whose formula has already left its component is
     skipped.  The chain is built in one pass over the subformulas of ``a``.
     """
-    witness = atomic_countermodel(failure.leaf)
-    if witness is None:
-        raise ValueError("leaf is an axiom, not a failure witness")
-    table = defaultdict(lambda: TruthValue.F, witness.assignment)  # f where the leaf has no atom
-    model: dict[Formula, TruthValue] = {}
-    heap = []
-    for position, (target, comp) in enumerate(zip(VALUES, a), 1):
-        for f in comp:
-            if _evaluate(f, table, model) is target:
-                raise ValueError("the failure's countermodel does not falsify the anti-sequent")
-            if f._depth:  # an atom has depth 0
-                heap.append((-f._depth, f._key, position, f))
+    model = _falsifying_values(failure.leaf, a)
+    heap = [(-f._depth, f._key, position, f)  # an atom has depth 0
+            for position, comp in enumerate(a, 1) for f in comp if f._depth]
     heapify(heap)
     steps = []
     while heap:

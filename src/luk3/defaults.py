@@ -20,8 +20,10 @@ basis, and its checker replays it without any search.  A skeptical one lists
 the ranks the search keeps, one record each, and its checker reruns the
 search.  The search takes its entailment test as an argument: the engine
 takes the sequent calculus's answer, and the skeptical checker takes it only
-once check_proof or check_refutation accepts the calculus's proof or
-refutation.  The engine decides ``basis |= f`` over the slice of the basis
+once the evidence checks: check_proof accepts the proof of an entailment,
+and the countermodel of the failures that decided a non-entailment
+falsifies it, by the same falsification check that opens every refutation
+chain.  The engine decides ``basis |= f`` over the slice of the basis
 whose atom-connected components share an atom with f, valid formulas left
 out (they hold in every model): the rest shares no atom with that slice or
 with f, so it changes the answer only when one of its components has no
@@ -29,8 +31,11 @@ all-t model, which one cached sequent per component decides.  Certificates
 carry those sliced proofs, which the checkers accept by weakening, and
 refutations over the whole basis, each guided by the failed proofs that
 decided its non-entailment: no question runs a second proof search.
-Both checkers replay each piece of evidence a certificate carries, so they
-rest on those two calculus checkers and on no other decision procedure.
+Both checkers replay each piece of evidence a certificate carries with
+check_proof or check_refutation.  The skeptical checker's own questions
+rest on check_proof and on valuing one countermodel with the truth tables,
+the test check_refutation applies to a leaf witness; no chain is built for
+them.  Neither checker uses any other decision procedure.
 Queries, results and certificate parts are immutable named tuples.
 """
 
@@ -40,6 +45,7 @@ from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .antisequent import AntiSequent3, RefutationTree, check_refutation, refutation_from_doc, refutation_from_failure, refutation_to_doc
+from .semantics import _falsifying_values
 from .sequent import ProofFailure, ProofTree, Sequent3, _read_formula, check_proof, entailment_sequent, proof_from_doc, proof_to_doc, prove
 from .syntax import (
     Cert,
@@ -122,10 +128,9 @@ def _proof(basis: frozenset[Formula], goals: frozenset[Formula]) -> ProofTree | 
     return prove(Sequent3(basis, basis, goals))
 
 
-@cache
-def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree:
-    """Certificate of non-entailment over the whole basis, guided by the
-    failures that decided it; only called once ``_entailed(basis, goal)``
+def _failure(basis: frozenset[Formula], goal: Formula) -> ProofFailure:
+    """The failures that decided a non-entailment, as one failure of the
+    whole entailment sequent; only called once ``_entailed(basis, goal)``
     has failed.  Those are the slice's failed proof and, for each component
     sharing no atom with ``goal``, the failed proof of ``C | C | (empty)``
     (see ``_entailed``).  Their atomic leaves share no atom, so their union
@@ -135,8 +140,14 @@ def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree:
     disjoint = _atoms(goal).isdisjoint
     leaves = [_entailed(basis, goal).leaf]
     leaves += [_proof(c, frozenset()).leaf for names, c in _components(basis) if disjoint(names)]
-    return refutation_from_failure(AntiSequent3.of(basis, basis, (goal,)),
-                                   ProofFailure(Sequent3(*map(frozenset.union, *leaves))))
+    return ProofFailure(Sequent3(*map(frozenset.union, *leaves)))
+
+
+@cache
+def _refutation(basis: frozenset[Formula], goal: Formula) -> RefutationTree:
+    """Certificate of non-entailment over the whole basis, guided by the
+    failures that decided it (``_failure``)."""
+    return refutation_from_failure(AntiSequent3.of(basis, basis, (goal,)), _failure(basis, goal))
 
 
 @cache
@@ -549,17 +560,12 @@ class SkepticalFailure(NamedTuple):
         return False
 
 
-def _evidence(basis: frozenset[Formula], f: Formula
-              ) -> tuple[ProofTree | None, RefutationTree | None]:
-    """The calculus's evidence on whether ``basis`` entails ``f``: the proof,
-    or else the refutation chain of the failed proof; the other is None."""
-    proof = _entailed(basis, f)
-    return (proof, None) if proof else (None, _refutation(basis, f))
-
-
 def _constraint_evidence(e: ExtensionBasis, c: SignedConstraint) -> ConstraintEvidence:
-    proof, refutation = _evidence(e.basis, c.formula)
-    return ConstraintEvidence(c, (proof is not None) == c.positive, proof, refutation)
+    """The calculus's evidence on whether ``e`` entails the constraint's
+    formula: the proof, or else the refutation chain of the failures."""
+    proof = _entailed(e.basis, c.formula)
+    return (ConstraintEvidence(c, c.positive, proof) if proof
+            else ConstraintEvidence(c, not c.positive, refutation=_refutation(e.basis, c.formula)))
 
 
 def _transcript(n: int, kept: list[int]) -> tuple[CandidateRecord, ...]:
@@ -678,28 +684,39 @@ def check_brave_proof(proof: BraveProof) -> bool:
 
 @cache
 def _certified(basis: frozenset[Formula], f: Formula) -> bool:
-    """Entailment by the calculus, counted once its checker accepts the
-    evidence: the skeptical checker's route.  ValueError when it does not."""
-    entailed = _replayed(basis, f, *_evidence(basis, f))
-    if entailed is None:
+    """Entailment by the calculus, counted once its evidence checks: the
+    skeptical checker's route.  An entailment's proof must pass
+    ``check_proof`` by weakening (``_replayed``).  A non-entailment must
+    pass the semantics' falsification check, the one that opens every
+    refutation chain: the countermodel of the deciding failures' leaf
+    (``_failure``) must make every basis formula t and ``f`` not t.  That
+    values one interpretation with the truth tables, as ``check_refutation``
+    does with a leaf witness, so no chain is built or replayed.  ValueError
+    when the evidence does not check."""
+    proof = _entailed(basis, f)
+    if not proof:
+        _falsifying_values(_failure(basis, f).leaf, (basis, basis, (f,)))
+    elif not _replayed(basis, f, proof, None):
         raise ValueError("the calculus's evidence fails its checker")
-    return entailed
+    return bool(proof)
 
 
 def check_skeptical_proof(proof: SkepticalProof) -> bool:
     """Audit a skeptical certificate with the calculus's two checkers.
 
     The checker runs the engine's branch-and-bound search, taking each
-    entailment from the calculus's proof or refutation once check_proof or
-    check_refutation accepts it.  The verdicts must be its extensions in
-    rank order, each with its basis and its fired defaults in firing order,
-    and the transcript must be the one skeptical_decide writes for the
-    ranks it yields: one kept record per rank, with its indices, in rank
-    order, so a record marked unkept, added, dropped or moved is rejected.
+    entailment it asks from the calculus once the evidence checks
+    (``_certified``): check_proof accepts the proof of an entailment, and
+    the countermodel of the failures that decided a non-entailment
+    falsifies it.  The verdicts must be its extensions in rank order, each
+    with its basis and its fired defaults in firing order, and the
+    transcript must be the one skeptical_decide writes for the ranks it
+    yields: one kept record per rank, with its indices, in rank order, so a
+    record marked unkept, added, dropped or moved is rejected.
     Constraint and goal entailments are decided by replaying the evidence
     (a proof may cover a subset of the basis, by weakening), and each
     satisfying extension must carry a proof of its first entailed goal in
-    canonical order.  Evidence from the calculus that fails its checker
+    canonical order.  Evidence from the calculus that fails its check
     rejects the certificate.  Raises SearchLimitError, as the engine does,
     when the search reaches more than DEFAULT_MAX_STATES states.
     """

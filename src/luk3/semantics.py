@@ -13,7 +13,10 @@ as ground truth for the sequent and anti-sequent calculi.
 One memoized evaluator values formulas for ``evaluate``, the truth tables
 and the anti-sequent calculus's refutation chains: within one call, or one
 interpretation, each distinct subformula is valued once, however often it
-occurs.
+occurs.  One falsification check, ``_falsifying_values``, tests whether
+the countermodel of a failed proof's atomic leaf falsifies a triple of
+components: the refutation chains start from it, and the skeptical checker
+accepts a non-entailment by it.
 
 ``Verdict`` and ``Interpretation`` are immutable named tuples; an
 ``Interpretation`` sorts its assignment and rejects a repeated atom on
@@ -22,6 +25,7 @@ construction and in ``_replace``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from functools import total_ordering
 from itertools import product
@@ -321,3 +325,24 @@ def atomic_countermodel(components: tuple) -> Interpretation | None:
             return None
         out.append((name, VALUES[free[0] - 1]))
     return Interpretation(tuple(out))
+
+
+def _falsifying_values(leaf: tuple, components: tuple) -> dict[Formula, TruthValue]:
+    """The falsification check that a failed proof's leaf passes when its
+    countermodel falsifies ``components``.  The model is
+    ``atomic_countermodel`` of the all-atomic ``leaf``, with f for every
+    atom the leaf does not name, and it falsifies ``components`` when every
+    formula avoids its component's value (f, u, t in order).  Returns the
+    value of every subformula of ``components`` under that model.
+    ValueError when the leaf is an axiom or not atomic, or its countermodel
+    does not falsify ``components``."""
+    witness = atomic_countermodel(leaf)
+    if witness is None:
+        raise ValueError("leaf is an axiom, not a failure witness")
+    table = defaultdict(lambda: TruthValue.F, witness.assignment)
+    model: dict[Formula, TruthValue] = {}
+    for target, comp in zip(VALUES, components):
+        for f in comp:
+            if _evaluate(f, table, model) is target:
+                raise ValueError("the failure's countermodel does not falsify the anti-sequent")
+    return model

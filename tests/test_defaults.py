@@ -209,6 +209,25 @@ class TestRouting:
         assert isinstance(brave_prove(q), BraveFailure)
         assert not oracles.brave_holds(T_FORK, q.sigma, q.theta)
 
+    def test_skeptical_checker_builds_none_for_its_own_questions(self, family, monkeypatch):
+        # the checker accepts each non-entailment its search asks by the
+        # countermodel of the failures that decided it; only the refutations
+        # a certificate carries are replayed, and those are already built
+        queries = _skeptical_sweep_queries(family, 64, 13)
+        proofs = [p for p in (skeptical_decide(q) for _, q in queries) if p]
+        mutants = [list(skeptical_mutants(p)) for p in proofs]
+        assert proofs and all(mutants)
+        luk3.defaults._certified.cache_clear()
+
+        def forbidden(*args):
+            raise AssertionError("refutation built for the checker's own question")
+
+        monkeypatch.setattr(luk3.defaults, "_refutation", forbidden)
+        monkeypatch.setattr(luk3.defaults, "refutation_from_failure", forbidden)
+        for proof, proof_mutants in zip(proofs, mutants):
+            assert check_skeptical_proof(proof)
+            assert not any(map(check_skeptical_proof, proof_mutants))
+
 
 class TestMember:
     def test_basis_formula(self):
@@ -763,6 +782,8 @@ def test_refutation_from_the_deciding_failures_checks(drawn):
     basis, f = drawn
     assert check_refutation(luk3.defaults._refutation(basis, f),
                             AntiSequent3.of(basis, basis, (f,)))
+    # the skeptical checker accepts it by the same failures' countermodel
+    assert luk3.defaults._certified(basis, f) is False
 
 
 @st.composite
